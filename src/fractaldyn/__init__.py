@@ -14,11 +14,11 @@ from .fji import (IterParams, classify_orbit, extract_boundary, render_julia,
 from .maps import (Affine, ArccosReciprocal, ArcsinRoot5, FlowMap, Identity,
                    InsufficientSamples, MAP_KINDS, MapSpec, QuadraticParam,
                    ReciprocalSqrt, estimate_bilipschitz, eval_forward, eval_inverse)
-from .flows import (FlowSpec, LimitCycle, Linear, NumericRK4, PeriodicForced,
-                    flow_apply, flow_inverse, fmi_flow_julia, ode_residual,
-                    trajectory_sweep)
-from .fmi import (DiscreteTrajectory, FmiMode, FmiScene, discrete_trajectory,
-                  fmi_julia, fmi_mandelbrot, forward_image)
+from .flows import (FLOW_KINDS, FlowSpec, LimitCycle, Linear, NumericRK4,
+                    PeriodicForced, flow_apply, flow_inverse, fmi_flow_julia,
+                    ode_residual, trajectory_sweep)
+from .fmi import (DiscreteTrajectory, discrete_trajectory, fmi_julia,
+                  fmi_mandelbrot, forward_image)
 from .analysis import (DimensionEstimate, EmptyMaskError, InsufficientScalesError,
                        MaskComparison, MasksUndefinedError, ZenoDiagram,
                        box_counting_dimension, compare_masks, rasterize_zeno,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Affine", "ArccosReciprocal", "ArcsinRoot5", "ConfigError",
     "DimensionEstimate", "DiscreteTrajectory", "DomainError", "EmptyMaskError",
-    "FlowMap", "FlowSpec", "FmiMode", "FmiScene", "GridSpec", "Identity",
+    "FLOW_KINDS", "FlowMap", "FlowSpec", "GridSpec", "Identity",
     "InsufficientSamples", "InsufficientScalesError", "IterParams",
     "LimitCycle", "Linear", "MAP_KINDS", "MapSpec", "MaskComparison",
     "MasksUndefinedError", "NumericRK4", "OrbitResult", "OrbitStatus",

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.ndimage import distance_transform_edt
 
 from .core import GridSpec, OrbitStatus, RasterField
 
@@ -123,10 +123,10 @@ def compare_masks(a: RasterField, b: RasterField) -> MaskComparison:
     union = na + nb - inter
     jaccard = inter / union
 
-    pa = np.argwhere(ma)
-    pb = np.argwhere(mb)
-    d_ab = cKDTree(pb).query(pa, k=1)[0].max()
-    d_ba = cKDTree(pa).query(pb, k=1)[0].max()
+    # Exact Euclidean distance transforms (Maurer et al. 2003): each cell's
+    # distance to the nearest cell of the other mask.
+    d_ab = distance_transform_edt(~mb)[ma].max()
+    d_ba = distance_transform_edt(~ma)[mb].max()
     return MaskComparison(float(jaccard), float(max(d_ab, d_ba)))
 
 

@@ -21,9 +21,9 @@ from . import analysis
 from .config import ConfigError, SceneConfig, apply_overrides, validate_config
 from .fji import extract_boundary, render_julia, render_mandelbrot
 from .flows import trajectory_sweep
-from .fmi import FmiMode, FmiScene, discrete_trajectory, fmi_julia, fmi_mandelbrot, forward_image
+from .fmi import discrete_trajectory, fmi_julia, fmi_mandelbrot, forward_image
 from .imaging import get_palette, write_image, write_metadata
-from .maps import Affine, Identity
+from .maps import Identity
 
 
 def _out_path(cfg: SceneConfig, suffix: str) -> Path:
@@ -32,98 +32,88 @@ def _out_path(cfg: SceneConfig, suffix: str) -> Path:
     return path
 
 
-def _write_frames(cfg: SceneConfig, frames, labels, label_key: str):
-    """Write numbered frames plus a manifest; returns manifest entries."""
-    palette = get_palette(cfg.palette)
-    entries = []
-    for idx, (field, label) in enumerate(zip(frames, labels)):
-        path = _out_path(cfg, f"_{idx:03d}.ppm")
-        write_image(field, palette, path)
-        entries.append({"file": path.name, label_key: label,
-                        "bounded_count": field.bounded_count()})
-    manifest = _out_path(cfg, "_manifest.json")
-    with open(manifest, "w", encoding="utf-8") as fh:
+def _write_manifest(cfg: SceneConfig, entries: list[dict]) -> dict:
+    """Write <output>_manifest.json listing the frames; returns the stats."""
+    with open(_out_path(cfg, "_manifest.json"), "w", encoding="utf-8") as fh:
         json.dump({"frames": entries}, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return entries
+    return {"frames": len(entries),
+            "bounded_counts": [e["bounded_count"] for e in entries]}
 
 
-def _run_julia(cfg: SceneConfig, threads: int) -> dict:
-    field = render_julia(cfg.grid, cfg.c, cfg.iter_params, threads)
+def _box_dimension(cfg: SceneConfig, mask) -> dict:
+    """Box-counting fit over the mask's Bounded cells, as sidecar stats.
+    max_box defaults to a quarter of the shorter raster side."""
+    min_box = cfg.min_box if cfg.min_box is not None else 2
+    max_box = (cfg.max_box if cfg.max_box is not None
+               else min(mask.grid.px_w, mask.grid.px_h) // 4)
+    est = analysis.box_counting_dimension(mask, min_box, max_box)
+    return {"slope": est.slope, "r_squared": est.r_squared,
+            "scales_used": list(est.scales_used), "counts": list(est.counts)}
+
+
+# Single-image commands. The lambdas look the renderers up when called, so
+# a renderer rebound on this module (say, wrapped by a tracer) is the one
+# that runs.
+_RENDERERS = {
+    "julia": lambda cfg, threads: render_julia(cfg.grid, cfg.c, cfg.iter_params, threads),
+    "mandelbrot": lambda cfg, threads: render_mandelbrot(cfg.grid, cfg.iter_params, threads),
+    "fmi-julia": lambda cfg, threads: fmi_julia(cfg.grid, cfg.c, cfg.map, cfg.iter_params,
+                                                threads),
+    "fmi-mandelbrot": lambda cfg, threads: fmi_mandelbrot(cfg.grid, cfg.map, cfg.iter_params,
+                                                          threads),
+}
+
+
+def _run_image(cfg: SceneConfig, threads: int) -> dict:
+    field = _RENDERERS[cfg.command](cfg, threads)
     write_image(field, get_palette(cfg.palette), _out_path(cfg, ".ppm"))
-    return {"bounded_count": field.bounded_count()}
-
-def _run_mandelbrot(cfg: SceneConfig, threads: int) -> dict:
-    field = render_mandelbrot(cfg.grid, cfg.iter_params, threads)
-    write_image(field, get_palette(cfg.palette), _out_path(cfg, ".ppm"))
-    return {"bounded_count": field.bounded_count()}
-
-def _run_fmi_julia(cfg: SceneConfig, threads: int) -> dict:
-    scene = FmiScene(cfg.grid, cfg.c, cfg.map, cfg.iter_params, FmiMode.JULIA)
-    field = fmi_julia(scene, threads)
-    write_image(field, get_palette(cfg.palette), _out_path(cfg, ".ppm"))
-    return {"bounded_count": field.bounded_count(),
-            "invalid_count": int(field.invalid_mask().sum())}
-
-def _run_fmi_mandelbrot(cfg: SceneConfig, threads: int) -> dict:
-    scene = FmiScene(cfg.grid, 0j, cfg.map, cfg.iter_params, FmiMode.MANDELBROT)
-    field = fmi_mandelbrot(scene, threads)
-    write_image(field, get_palette(cfg.palette), _out_path(cfg, ".ppm"))
-    return {"bounded_count": field.bounded_count(),
-            "invalid_count": int(field.invalid_mask().sum())}
+    stats = {"bounded_count": field.bounded_count()}
+    if cfg.map is not None:
+        stats["invalid_count"] = int(field.invalid_mask().sum())
+    return stats
 
 def _run_discrete_traj(cfg: SceneConfig, threads: int) -> dict:
     traj = discrete_trajectory(cfg.c, cfg.map, cfg.k_max, cfg.grid,
                                cfg.iter_params, cfg.supersample, threads)
-    ks = list(range(cfg.k_max + 1))
     palette = get_palette(cfg.palette)
     entries = []
-    for k, pull, push in zip(ks, traj.pullback, traj.pushforward):
+    for k, (pull, push) in enumerate(zip(traj.pullback, traj.pushforward)):
         p_pull = _out_path(cfg, f"_k{k:03d}.ppm")
         p_push = _out_path(cfg, f"_push_k{k:03d}.ppm")
         write_image(pull, palette, p_pull)
         write_image(push, palette, p_push)
         entries.append({"k": k, "pullback": p_pull.name, "pushforward": p_push.name,
                         "bounded_count": pull.bounded_count()})
-    manifest = _out_path(cfg, "_manifest.json")
-    with open(manifest, "w", encoding="utf-8") as fh:
-        json.dump({"frames": entries}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return {"frames": len(entries),
-            "bounded_counts": [e["bounded_count"] for e in entries]}
+    return _write_manifest(cfg, entries)
 
 def _run_flow_traj(cfg: SceneConfig, threads: int) -> dict:
     frames = trajectory_sweep(cfg.grid, cfg.c, cfg.flow, cfg.t_list,
                               cfg.iter_params, threads)
-    entries = _write_frames(cfg, frames, list(cfg.t_list), "t")
-    return {"frames": len(entries),
-            "bounded_counts": [e["bounded_count"] for e in entries]}
+    palette = get_palette(cfg.palette)
+    entries = []
+    for idx, (field, t) in enumerate(zip(frames, cfg.t_list)):
+        path = _out_path(cfg, f"_{idx:03d}.ppm")
+        write_image(field, palette, path)
+        entries.append({"file": path.name, "t": t, "bounded_count": field.bounded_count()})
+    return _write_manifest(cfg, entries)
 
 def _run_dimension(cfg: SceneConfig, threads: int) -> dict:
     field = render_julia(cfg.grid, cfg.c, cfg.iter_params, threads)
     mask = extract_boundary(field) if cfg.boundary else field
-    min_box = cfg.min_box if cfg.min_box is not None else 2
-    max_box = cfg.max_box if cfg.max_box is not None else min(cfg.grid.px_w, cfg.grid.px_h) // 4
-    est = analysis.box_counting_dimension(mask, min_box, max_box)
+    dimension = _box_dimension(cfg, mask)
     write_image(mask, get_palette(cfg.palette), _out_path(cfg, ".ppm"))
-    return {"bounded_count": mask.bounded_count(),
-            "dimension": {"slope": est.slope, "r_squared": est.r_squared,
-                          "scales_used": list(est.scales_used),
-                          "counts": list(est.counts)}}
+    return {"bounded_count": mask.bounded_count(), "dimension": dimension}
 
 def _run_verify_fmt(cfg: SceneConfig, threads: int) -> dict:
+    # validate_config requires dst_grid unless the map is identity or affine.
     dst_grid = cfg.dst_grid
     if dst_grid is None:
-        if isinstance(cfg.map, Identity):
-            dst_grid = cfg.grid
-        elif isinstance(cfg.map, Affine):
-            dst_grid = cfg.grid.affine_image(cfg.map.a, cfg.map.b)
-        else:
-            raise ConfigError("dst_grid is required for non-affine maps")
+        dst_grid = (cfg.grid if isinstance(cfg.map, Identity)
+                    else cfg.grid.affine_image(cfg.map.a, cfg.map.b))
     src = render_julia(cfg.grid, cfg.c, cfg.iter_params, threads)
     fwd = forward_image(src, cfg.map, dst_grid, cfg.supersample)
-    scene = FmiScene(dst_grid, cfg.c, cfg.map, cfg.iter_params, FmiMode.JULIA)
-    fmi = fmi_julia(scene, threads)
+    fmi = fmi_julia(dst_grid, cfg.c, cfg.map, cfg.iter_params, threads)
     cmp = analysis.compare_masks(fwd, fmi)
     palette = get_palette(cfg.palette)
     write_image(fwd, palette, _out_path(cfg, "_forward.ppm"))
@@ -135,24 +125,16 @@ def _run_verify_fmt(cfg: SceneConfig, threads: int) -> dict:
 def _run_zeno(cfg: SceneConfig, threads: int) -> dict:
     diagram = analysis.zeno_states(cfg.d0, cfg.t1, cfg.n, cfg.i0)
     stats: dict = {"times": list(diagram.times), "heights": list(diagram.heights)}
-    field = analysis.rasterize_zeno(diagram, cfg.px_w, cfg.px_h) if cfg.n >= 2 else None
-    if field is not None:
+    if cfg.n >= 2:
+        field = analysis.rasterize_zeno(diagram, cfg.px_w, cfg.px_h)
         write_image(field, get_palette(cfg.palette), _out_path(cfg, ".ppm"))
         stats["bounded_count"] = field.bounded_count()
-        min_box = cfg.min_box if cfg.min_box is not None else 2
-        max_box = cfg.max_box if cfg.max_box is not None else min(cfg.px_w, cfg.px_h) // 4
-        est = analysis.box_counting_dimension(field, min_box, max_box)
-        stats["dimension"] = {"slope": est.slope, "r_squared": est.r_squared,
-                              "scales_used": list(est.scales_used),
-                              "counts": list(est.counts)}
+        stats["dimension"] = _box_dimension(cfg, field)
     return stats
 
 
 _RUNNERS = {
-    "julia": _run_julia,
-    "mandelbrot": _run_mandelbrot,
-    "fmi-julia": _run_fmi_julia,
-    "fmi-mandelbrot": _run_fmi_mandelbrot,
+    **{command: _run_image for command in _RENDERERS},
     "discrete-traj": _run_discrete_traj,
     "flow-traj": _run_flow_traj,
     "dimension": _run_dimension,

@@ -5,19 +5,23 @@ command needs. Complex numbers are two-element arrays [re, im]. Parsing
 is strict: unknown keys anywhere, missing required keys, and
 out-of-range values are all rejected, with the offending line quoted
 when it can be located in the source text.
+
+The grid, iter, map and flow sections have no schema of their own: their
+keys are the init fields of ``GridSpec``, ``IterParams`` and the classes
+in ``MAP_KINDS`` / ``FLOW_KINDS``. A field without a default is a
+required key, and the range checks are the constructors' own.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .core import GridSpec
 from .fji import IterParams
-from .flows import FlowSpec, Linear, LimitCycle, NumericRK4, PeriodicForced
-from .maps import (MAP_KINDS, Affine, ArccosReciprocal, ArcsinRoot5, FlowMap,
-                   Identity, MapSpec, QuadraticParam, ReciprocalSqrt)
+from .flows import FLOW_KINDS, FlowSpec
+from .maps import MAP_KINDS, Affine, Identity, MapSpec
 
 COMMANDS = ("julia", "mandelbrot", "fmi-julia", "fmi-mandelbrot",
             "discrete-traj", "flow-traj", "dimension", "verify-fmt", "zeno")
@@ -40,10 +44,6 @@ def _line_of(text: str, key: str) -> int | None:
     return None
 
 
-def _err(text: str, key: str, message: str):
-    raise ConfigError(message, _line_of(text, key))
-
-
 class _Ctx:
     """Carries the source text through validation for line lookups."""
 
@@ -51,7 +51,7 @@ class _Ctx:
         self.text = text
 
     def fail(self, key: str, message: str):
-        _err(self.text, key, message)
+        raise ConfigError(message, _line_of(self.text, key))
 
     def obj(self, raw, key: str) -> dict:
         if not isinstance(raw, dict):
@@ -80,6 +80,11 @@ class _Ctx:
             self.fail(key, f"{key!r} must be an integer")
         return raw
 
+    def boolean(self, raw, key: str) -> bool:
+        if not isinstance(raw, bool):
+            self.fail(key, f"{key!r} must be a boolean")
+        return raw
+
     def complex_pair(self, raw, key: str) -> complex:
         if (not isinstance(raw, list) or len(raw) != 2
                 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)):
@@ -89,156 +94,70 @@ class _Ctx:
             self.fail(key, f"{key!r} must be finite")
         return z
 
-
-@dataclass(frozen=True)
-class SceneConfig:
-    command: str
-    output: str
-    grid: GridSpec | None = None
-    dst_grid: GridSpec | None = None
-    c: complex | None = None
-    map: MapSpec | None = None
-    flow: FlowSpec | None = None
-    t_list: tuple[float, ...] | None = None
-    k_max: int | None = None
-    iter_params: IterParams = field(default_factory=IterParams)
-    palette: str = "classic"
-    supersample: int | None = None
-    boundary: bool | None = None
-    min_box: int | None = None
-    max_box: int | None = None
-    d0: float | None = None
-    t1: float | None = None
-    n: int | None = None
-    i0: int | None = None
-    px_w: int | None = None
-    px_h: int | None = None
-
-    def to_dict(self) -> dict:
-        """Fully resolved config (defaults applied) as a JSON-ready dict."""
-        doc: dict = {"command": self.command, "output": self.output,
-                     "palette": self.palette}
-        if self.grid is not None:
-            doc["grid"] = _grid_dict(self.grid)
-        if self.dst_grid is not None:
-            doc["dst_grid"] = _grid_dict(self.dst_grid)
-        if self.c is not None:
-            doc["c"] = [self.c.real, self.c.imag]
-        if self.map is not None:
-            doc["map"] = self.map.to_config()
-        if self.flow is not None:
-            doc["flow"] = self.flow.to_config()
-        if self.t_list is not None:
-            doc["t_list"] = list(self.t_list)
-        if self.k_max is not None:
-            doc["k_max"] = self.k_max
-        if self.command != "zeno":
-            doc["iter"] = {"max_iter": self.iter_params.max_iter,
-                           "escape_radius": self.iter_params.escape_radius}
-        for key in ("supersample", "boundary", "min_box", "max_box",
-                    "d0", "t1", "n", "i0", "px_w", "px_h"):
-            val = getattr(self, key)
-            if val is not None:
-                doc[key] = val
-        return doc
+    def number_list(self, raw, key: str) -> tuple[float, ...]:
+        if not isinstance(raw, list) or not raw:
+            self.fail(key, f"{key!r} must be a non-empty array of numbers")
+        return tuple(self.number(v, key) for v in raw)
 
 
-def _grid_dict(grid: GridSpec) -> dict:
-    return {"center": [grid.center.real, grid.center.imag],
-            "width": grid.width, "height": grid.height,
-            "px_w": grid.px_w, "px_h": grid.px_h}
+def _key(f) -> str:
+    """JSON key of a dataclass field: its name unless metadata renames it."""
+    return f.metadata.get("key", f.name)
 
 
-def _parse_grid(ctx: _Ctx, raw, where: str) -> GridSpec:
+def _parse_spec(ctx: _Ctx, raw, schema, where: str):
+    """Build a spec dataclass from a JSON object keyed by its init fields.
+
+    ``schema`` is the dataclass, or a registry of them (``MAP_KINDS``,
+    ``FLOW_KINDS``) from which the object's ``kind`` key picks one. A
+    field without a default is a required key; a ValueError from the
+    constructor's range checks becomes a ConfigError.
+    """
     raw = ctx.obj(raw, where)
-    ctx.check_keys(raw, {"center", "width", "height", "px_w", "px_h"}, where)
-    center = ctx.complex_pair(ctx.require(raw, "center", where), "center")
-    width = ctx.number(ctx.require(raw, "width", where), "width")
-    height = ctx.number(ctx.require(raw, "height", where), "height")
-    px_w = ctx.integer(ctx.require(raw, "px_w", where), "px_w")
-    px_h = ctx.integer(ctx.require(raw, "px_h", where), "px_h")
-    if width <= 0 or height <= 0:
-        ctx.fail("width", f"{where} width/height must be positive")
-    if px_w < 1 or px_h < 1:
-        ctx.fail("px_w", f"{where} pixel counts must be >= 1")
-    return GridSpec(center, width, height, px_w, px_h)
+    allowed = set()
+    if isinstance(schema, dict):
+        kind = ctx.require(raw, "kind", where)
+        if not isinstance(kind, str) or kind not in schema:
+            ctx.fail("kind", f"unknown kind {kind!r} in {where}")
+        schema = schema[kind]
+        allowed.add("kind")
+    init = [f for f in fields(schema) if f.init]
+    ctx.check_keys(raw, allowed | {_key(f) for f in init}, where)
+    kw = {}
+    for f in init:
+        key = _key(f)
+        if key in raw or (f.default is MISSING and f.default_factory is MISSING):
+            kw[f.name] = _FIELD_PARSERS[f.type](ctx, ctx.require(raw, key, where), key)
+    try:
+        return schema(**kw)
+    except ValueError as exc:
+        ctx.fail(where, f"{where}: {exc}")
 
 
-def _parse_iter(ctx: _Ctx, raw) -> IterParams:
-    raw = ctx.obj(raw, "iter")
-    ctx.check_keys(raw, {"max_iter", "escape_radius"}, "iter")
-    max_iter = ctx.integer(raw.get("max_iter", 500), "max_iter")
-    radius = ctx.number(raw.get("escape_radius", 2.0), "escape_radius")
-    if max_iter < 1:
-        ctx.fail("max_iter", "max_iter must be >= 1")
-    if radius <= 0:
-        ctx.fail("escape_radius", "escape_radius must be positive")
-    return IterParams(max_iter, radius)
+# Spec field annotation -> parser of that field's JSON value.
+_FIELD_PARSERS = {
+    "complex": _Ctx.complex_pair,
+    "float": _Ctx.number,
+    "int": _Ctx.integer,
+    "FlowSpec": lambda ctx, raw, key: _parse_spec(ctx, raw, FLOW_KINDS, key),
+}
 
 
-def _parse_flow(ctx: _Ctx, raw, where: str = "flow") -> FlowSpec:
-    raw = ctx.obj(raw, where)
-    kind = ctx.require(raw, "kind", where)
-    if kind == "linear":
-        ctx.check_keys(raw, {"kind", "lambda"}, where)
-        lam = ctx.complex_pair(ctx.require(raw, "lambda", where), "lambda")
-        return Linear(lam)
-    if kind == "limit_cycle":
-        ctx.check_keys(raw, {"kind"}, where)
-        return LimitCycle()
-    if kind == "periodic_forced":
-        ctx.check_keys(raw, {"kind", "a"}, where)
-        return PeriodicForced(ctx.number(ctx.require(raw, "a", where), "a"))
-    if kind == "numeric_rk4":
-        ctx.check_keys(raw, {"kind", "base", "dt"}, where)
-        base = _parse_flow(ctx, ctx.require(raw, "base", where), "base")
-        if isinstance(base, NumericRK4):
-            ctx.fail("base", "numeric_rk4 base must be a closed-form flow")
-        dt = ctx.number(raw.get("dt", 1e-3), "dt")
-        if dt <= 0:
-            ctx.fail("dt", "dt must be positive")
-        return NumericRK4(base, dt)
-    ctx.fail("kind", f"unknown flow kind {kind!r}")
+def _spec_dict(spec) -> dict:
+    """JSON object for a spec dataclass; _parse_spec inverts it. The
+    init=False ``kind`` field of the map and flow classes is written too."""
+    doc = {}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.type == "complex":
+            value = [value.real, value.imag]
+        elif is_dataclass(value):
+            value = _spec_dict(value)
+        doc[_key(f)] = value
+    return doc
 
 
-def _parse_map(ctx: _Ctx, raw) -> MapSpec:
-    raw = ctx.obj(raw, "map")
-    kind = ctx.require(raw, "kind", "map")
-    if kind not in MAP_KINDS:
-        ctx.fail("kind", f"unknown map kind {kind!r}")
-    if kind == "identity":
-        ctx.check_keys(raw, {"kind"}, "map")
-        return Identity()
-    if kind == "affine":
-        ctx.check_keys(raw, {"kind", "a", "b"}, "map")
-        a = ctx.complex_pair(ctx.require(raw, "a", "map"), "a")
-        b = ctx.complex_pair(raw.get("b", [0.0, 0.0]), "b")
-        if a == 0:
-            ctx.fail("a", "affine a must be nonzero")
-        return Affine(a, b)
-    if kind == "arccos_reciprocal":
-        ctx.check_keys(raw, {"kind"}, "map")
-        return ArccosReciprocal()
-    if kind == "arcsin_root5":
-        ctx.check_keys(raw, {"kind"}, "map")
-        return ArcsinRoot5()
-    if kind == "reciprocal_sqrt":
-        ctx.check_keys(raw, {"kind"}, "map")
-        return ReciprocalSqrt()
-    if kind == "quadratic_param":
-        ctx.check_keys(raw, {"kind", "a", "b", "c"}, "map")
-        a = ctx.number(ctx.require(raw, "a", "map"), "a")
-        b = ctx.complex_pair(ctx.require(raw, "b", "map"), "b")
-        c = ctx.complex_pair(ctx.require(raw, "c", "map"), "c")
-        return QuadraticParam(a, b, c)
-    # kind == "flow"
-    ctx.check_keys(raw, {"kind", "flow", "t"}, "map")
-    flow = _parse_flow(ctx, ctx.require(raw, "flow", "map"))
-    t = ctx.number(ctx.require(raw, "t", "map"), "t")
-    return FlowMap(flow, t)
-
-
-# Per-command field tables: name -> required? (others allowed but optional)
+# Per-command keys beyond command/output/palette: name -> required?
 _FIELDS: dict[str, dict[str, bool]] = {
     "julia": {"grid": True, "c": True, "iter": False},
     "mandelbrot": {"grid": True, "iter": False},
@@ -256,6 +175,90 @@ _FIELDS: dict[str, dict[str, bool]] = {
              "px_w": False, "px_h": False, "min_box": False, "max_box": False},
 }
 
+# Values a command fills in for optional keys its config leaves out.
+_DEFAULTS: dict[str, dict] = {
+    "discrete-traj": {"supersample": 3},
+    "verify-fmt": {"supersample": 3},
+    "dimension": {"boundary": True},
+    "zeno": {"i0": 0, "px_w": 1024, "px_h": 512},
+}
+
+# Sections that are spec dataclasses (see _parse_spec).
+_SPECS = {"grid": GridSpec, "dst_grid": GridSpec, "iter": IterParams,
+          "map": MAP_KINDS, "flow": FLOW_KINDS}
+
+# Every other key: (parser, lower bound). An integer may equal its bound;
+# a real number (d0, t1) must exceed it.
+_SCALARS = {
+    "c": (_Ctx.complex_pair, None),
+    "t_list": (_Ctx.number_list, None),
+    "boundary": (_Ctx.boolean, None),
+    "k_max": (_Ctx.integer, 0),
+    "supersample": (_Ctx.integer, 1),
+    "min_box": (_Ctx.integer, 2),
+    "max_box": (_Ctx.integer, 2),
+    "n": (_Ctx.integer, 1),
+    "i0": (_Ctx.integer, 0),
+    "px_w": (_Ctx.integer, 1),
+    "px_h": (_Ctx.integer, 1),
+    "d0": (_Ctx.number, 0),
+    "t1": (_Ctx.number, 0),
+}
+
+
+def _parse_scalar(ctx: _Ctx, raw, key: str):
+    parse, low = _SCALARS[key]
+    value = parse(ctx, raw, key)
+    if low is not None:
+        strict = parse is _Ctx.number
+        if value < low or (strict and value == low):
+            ctx.fail(key, f"{key} must be {'>' if strict else '>='} {low}")
+    return value
+
+
+@dataclass(frozen=True)
+class SceneConfig:
+    command: str
+    output: str
+    grid: GridSpec | None = None
+    dst_grid: GridSpec | None = None
+    c: complex | None = None
+    map: MapSpec | None = None
+    flow: FlowSpec | None = None
+    t_list: tuple[float, ...] | None = None
+    k_max: int | None = None
+    iter_params: IterParams = field(default_factory=IterParams, metadata={"key": "iter"})
+    palette: str = "classic"
+    supersample: int | None = None
+    boundary: bool | None = None
+    min_box: int | None = None
+    max_box: int | None = None
+    d0: float | None = None
+    t1: float | None = None
+    n: int | None = None
+    i0: int | None = None
+    px_w: int | None = None
+    px_h: int | None = None
+
+    def to_dict(self) -> dict:
+        """Fully resolved config (defaults applied) as a JSON-ready dict:
+        every key the command accepts that has a value."""
+        accepted = set(_FIELDS[self.command]) | {"command", "output", "palette"}
+        doc = {}
+        for f in fields(self):
+            key, value = _key(f), getattr(self, f.name)
+            if key not in accepted or value is None:
+                continue
+            if is_dataclass(value):
+                value = _spec_dict(value)
+            elif isinstance(value, complex):
+                value = [value.real, value.imag]
+            doc[key] = value
+        return doc
+
+
+_FIELD_NAMES = {_key(f): f.name for f in fields(SceneConfig)}
+
 
 def validate_config(raw: dict, text: str = "") -> SceneConfig:
     """Validate a parsed JSON object into a SceneConfig."""
@@ -265,10 +268,9 @@ def validate_config(raw: dict, text: str = "") -> SceneConfig:
     command = ctx.require(raw, "command", "config")
     if command not in COMMANDS:
         ctx.fail("command", f"unknown command {command!r}")
-    fields = _FIELDS[command]
-    allowed = set(fields) | {"command", "output", "palette"}
-    ctx.check_keys(raw, allowed, f"command {command!r}")
-    for name, required in fields.items():
+    keys = _FIELDS[command]
+    ctx.check_keys(raw, set(keys) | {"command", "output", "palette"}, f"command {command!r}")
+    for name, required in keys.items():
         if required and name not in raw:
             ctx.fail("command", f"missing required key {name!r} for command {command!r}")
 
@@ -279,76 +281,17 @@ def validate_config(raw: dict, text: str = "") -> SceneConfig:
     if palette not in PALETTE_NAMES:
         ctx.fail("palette", f"palette must be one of {PALETTE_NAMES}")
 
-    kw: dict = {"command": command, "output": output, "palette": palette}
-    if "grid" in raw:
-        kw["grid"] = _parse_grid(ctx, raw["grid"], "grid")
-    if "dst_grid" in raw:
-        kw["dst_grid"] = _parse_grid(ctx, raw["dst_grid"], "dst_grid")
-    if "c" in raw:
-        kw["c"] = ctx.complex_pair(raw["c"], "c")
-    if "map" in raw:
-        kw["map"] = _parse_map(ctx, raw["map"])
-    if "flow" in raw:
-        kw["flow"] = _parse_flow(ctx, raw["flow"])
-    if "iter" in raw:
-        kw["iter_params"] = _parse_iter(ctx, raw["iter"])
-    if "t_list" in raw:
-        tl = raw["t_list"]
-        if not isinstance(tl, list) or not tl:
-            ctx.fail("t_list", "t_list must be a non-empty array of numbers")
-        kw["t_list"] = tuple(ctx.number(t, "t_list") for t in tl)
-    if "k_max" in raw:
-        k = ctx.integer(raw["k_max"], "k_max")
-        if k < 0:
-            ctx.fail("k_max", "k_max must be >= 0")
-        kw["k_max"] = k
-    if "supersample" in raw:
-        s = ctx.integer(raw["supersample"], "supersample")
-        if s < 1:
-            ctx.fail("supersample", "supersample must be >= 1")
-        kw["supersample"] = s
-    elif command in ("discrete-traj", "verify-fmt"):
-        kw["supersample"] = 3
-    if "boundary" in raw:
-        if not isinstance(raw["boundary"], bool):
-            ctx.fail("boundary", "boundary must be a boolean")
-        kw["boundary"] = raw["boundary"]
-    elif command == "dimension":
-        kw["boundary"] = True
-    for name in ("min_box", "max_box"):
-        if name in raw:
-            v = ctx.integer(raw[name], name)
-            if v < 2:
-                ctx.fail(name, f"{name} must be >= 2")
-            kw[name] = v
-    for name, check in (("d0", lambda v: v > 0), ("t1", lambda v: v > 0)):
-        if name in raw:
-            v = ctx.number(raw[name], name)
-            if not check(v):
-                ctx.fail(name, f"{name} must be positive")
-            kw[name] = v
-    if "n" in raw:
-        v = ctx.integer(raw["n"], "n")
-        if v < 1:
-            ctx.fail("n", "n must be >= 1")
-        kw["n"] = v
-    if "i0" in raw:
-        v = ctx.integer(raw["i0"], "i0")
-        if v < 0:
-            ctx.fail("i0", "i0 must be >= 0")
-        kw["i0"] = v
-    elif command == "zeno":
-        kw["i0"] = 0
-    for name in ("px_w", "px_h"):
-        if name in raw:
-            v = ctx.integer(raw[name], name)
-            if v < 1:
-                ctx.fail(name, f"{name} must be >= 1")
-            kw[name] = v
-    if command == "zeno":
-        kw.setdefault("px_w", 1024)
-        kw.setdefault("px_h", 512)
-    return SceneConfig(**kw)
+    values = {"command": command, "output": output, "palette": palette,
+              **_DEFAULTS.get(command, {})}
+    for key in keys:
+        if key in raw and key in _SPECS:
+            values[key] = _parse_spec(ctx, raw[key], _SPECS[key], key)
+        elif key in raw:
+            values[key] = _parse_scalar(ctx, raw[key], key)
+    if (command == "verify-fmt" and "dst_grid" not in values
+            and not isinstance(values["map"], (Identity, Affine))):
+        ctx.fail("map", "dst_grid is required for non-affine maps")
+    return SceneConfig(**{_FIELD_NAMES[key]: value for key, value in values.items()})
 
 
 def parse_config(text) -> SceneConfig:

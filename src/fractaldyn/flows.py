@@ -43,9 +43,6 @@ class FlowSpec:
     def _inverse_array(self, z: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
 
 def _scalar_eval(fn, z: complex, t: float) -> complex:
     z = require_finite(z, "z")
@@ -83,7 +80,7 @@ def flow_inverse(flow: FlowSpec, z, t: float):
 
 @dataclass(frozen=True)
 class Linear(FlowSpec):
-    lam: complex = -1.0 + 0j
+    lam: complex = field(metadata={"key": "lambda"})
     kind: str = field(default="linear", init=False, repr=False)
 
     def rhs(self, t, z):
@@ -94,9 +91,6 @@ class Linear(FlowSpec):
 
     def _inverse_array(self, z, t):
         return self._apply_array(z, -t)
-
-    def to_config(self):
-        return {"kind": "linear", "lambda": [self.lam.real, self.lam.imag]}
 
 
 @dataclass(frozen=True)
@@ -120,13 +114,10 @@ class LimitCycle(FlowSpec):
     def _inverse_array(self, z, t):
         return self._apply_array(z, -t)
 
-    def to_config(self):
-        return {"kind": "limit_cycle"}
-
 
 @dataclass(frozen=True)
 class PeriodicForced(FlowSpec):
-    a: float = 0.01
+    a: float
     kind: str = field(default="periodic_forced", init=False, repr=False)
 
     @property
@@ -144,9 +135,6 @@ class PeriodicForced(FlowSpec):
         k = self.k
         return (z + k * complex(math.cos(t), math.sin(t))) * math.exp(-self.a * t) - k
 
-    def to_config(self):
-        return {"kind": "periodic_forced", "a": self.a}
-
 
 @dataclass(frozen=True)
 class NumericRK4(FlowSpec):
@@ -154,7 +142,7 @@ class NumericRK4(FlowSpec):
     hand sides. The step count is ceil(|t|/dt) with a uniform step landing
     exactly on t, so halving dt halves every step."""
 
-    base: FlowSpec = Linear(-1.0 + 0j)
+    base: FlowSpec
     dt: float = 1e-3
     kind: str = field(default="numeric_rk4", init=False, repr=False)
 
@@ -190,8 +178,13 @@ class NumericRK4(FlowSpec):
     def _inverse_array(self, z, t):
         return self._integrate(z, t, 0.0)
 
-    def to_config(self):
-        return {"kind": "numeric_rk4", "base": self.base.to_config(), "dt": self.dt}
+
+FLOW_KINDS = {
+    "linear": Linear,
+    "limit_cycle": LimitCycle,
+    "periodic_forced": PeriodicForced,
+    "numeric_rk4": NumericRK4,
+}
 
 
 def ode_residual(flow: FlowSpec, z: complex, t: float, h: float) -> float:

@@ -19,7 +19,6 @@ destination pitch whenever l2 * src_pitch / s <= dst_pitch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -28,45 +27,27 @@ from .fji import IterParams, classify_grid, render_julia
 from .maps import MapSpec, eval_forward, eval_inverse
 
 
-class FmiMode(Enum):
-    JULIA = "julia"
-    MANDELBROT = "mandelbrot"
-
-
-@dataclass(frozen=True)
-class FmiScene:
-    grid: GridSpec
-    c: complex
-    map: MapSpec
-    params: IterParams = IterParams()
-    mode: FmiMode = FmiMode.JULIA
-
-    def __post_init__(self):
-        require_finite(self.c, "c")
-
-
-def fmi_julia(scene: FmiScene, threads: int = 1) -> RasterField:
-    """Image of the filled Julia set under scene.map.
+def fmi_julia(grid: GridSpec, c: complex, m: MapSpec, params: IterParams = IterParams(),
+              threads: int = 1) -> RasterField:
+    """Image of the filled Julia set under m.
 
     Each pixel center is pulled back through the inverse map and
     classified; pixels whose pullback leaves the map's domain are Invalid.
     With the identity map this reproduces render_julia cell for cell.
     """
-    if scene.mode is not FmiMode.JULIA:
-        raise ValueError(f"scene mode is {scene.mode}, expected JULIA")
-    w0 = eval_inverse(scene.map, scene.grid.points())
-    status, iters, mags = classify_grid(w0, scene.c, scene.params, threads)
-    return RasterField(scene.grid, status, iters, mags)
+    c = require_finite(c, "c")
+    w0 = eval_inverse(m, grid.points())
+    status, iters, mags = classify_grid(w0, c, params, threads)
+    return RasterField(grid, status, iters, mags)
 
 
-def fmi_mandelbrot(scene: FmiScene, threads: int = 1) -> RasterField:
-    """Image of the Mandelbrot set under scene.map: each pixel's pullback
-    becomes the parameter of the orbit of 0."""
-    if scene.mode is not FmiMode.MANDELBROT:
-        raise ValueError(f"scene mode is {scene.mode}, expected MANDELBROT")
-    c = eval_inverse(scene.map, scene.grid.points())
-    status, iters, mags = classify_grid(np.complex128(0), c, scene.params, threads)
-    return RasterField(scene.grid, status, iters, mags)
+def fmi_mandelbrot(grid: GridSpec, m: MapSpec, params: IterParams = IterParams(),
+                   threads: int = 1) -> RasterField:
+    """Image of the Mandelbrot set under m: each pixel's pullback becomes
+    the parameter of the orbit of 0."""
+    c = eval_inverse(m, grid.points())
+    status, iters, mags = classify_grid(np.complex128(0), c, params, threads)
+    return RasterField(grid, status, iters, mags)
 
 
 def forward_image(src_field: RasterField, m: MapSpec, dst_grid: GridSpec,

@@ -33,8 +33,6 @@ from .flows import FlowSpec, flow_apply, flow_inverse
 
 POLE_EXCLUSION = 1e-9
 
-BRANCH_PRINCIPAL = "principal"
-
 
 class InsufficientSamples(RuntimeError):
     """Too few valid point pairs to estimate stretch bounds."""
@@ -44,7 +42,6 @@ class MapSpec:
     """Base for the registered map kinds."""
 
     kind: str = ""
-    branch: str = BRANCH_PRINCIPAL
 
     def _forward_array(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -56,9 +53,6 @@ class MapSpec:
         """The k-fold composition of this map with itself, where it has a
         closed form in the registry."""
         raise NotImplementedError(f"{self.kind} has no closed-form iterate")
-
-    def to_config(self) -> dict:
-        raise NotImplementedError
 
 
 def _scalar(fn, z: complex, what: str, kind: str) -> complex:
@@ -106,13 +100,10 @@ class Identity(MapSpec):
     def iterated(self, k):
         return self
 
-    def to_config(self):
-        return {"kind": "identity"}
-
 
 @dataclass(frozen=True)
 class Affine(MapSpec):
-    a: complex = 1.0 + 0j
+    a: complex
     b: complex = 0j
     kind: str = field(default="affine", init=False, repr=False)
 
@@ -138,10 +129,6 @@ class Affine(MapSpec):
         bk = b * sum(a ** j for j in range(k))
         return Affine(ak, bk)
 
-    def to_config(self):
-        return {"kind": "affine", "a": [self.a.real, self.a.imag],
-                "b": [self.b.real, self.b.imag]}
-
 
 @dataclass(frozen=True)
 class ArccosReciprocal(MapSpec):
@@ -160,9 +147,6 @@ class ArccosReciprocal(MapSpec):
             out = 1.0 / den
         return np.where(np.abs(den) <= POLE_EXCLUSION, np.nan + 0j, out)
 
-    def to_config(self):
-        return {"kind": "arccos_reciprocal"}
-
 
 @dataclass(frozen=True)
 class ArcsinRoot5(MapSpec):
@@ -177,9 +161,6 @@ class ArcsinRoot5(MapSpec):
     def _inverse_array(self, w):
         with np.errstate(over="ignore", invalid="ignore"):
             return np.sin(w ** 5)
-
-    def to_config(self):
-        return {"kind": "arcsin_root5"}
 
 
 @dataclass(frozen=True)
@@ -199,18 +180,15 @@ class ReciprocalSqrt(MapSpec):
             out = 1.0 / den
         return np.where(np.abs(den) <= POLE_EXCLUSION, np.nan + 0j, out)
 
-    def to_config(self):
-        return {"kind": "reciprocal_sqrt"}
-
 
 @dataclass(frozen=True)
 class QuadraticParam(MapSpec):
     """z^2 + (a*c + b) with real coefficient a; inverse takes the principal
     square root, so round trips hold on the right half-plane."""
 
-    a: float = 0.6
-    b: complex = 0j
-    c: complex = 0j
+    a: float
+    b: complex
+    c: complex
     kind: str = field(default="quadratic_param", init=False, repr=False)
 
     def __post_init__(self):
@@ -231,23 +209,16 @@ class QuadraticParam(MapSpec):
         with np.errstate(over="ignore", invalid="ignore"):
             return np.sqrt(w - self.shift)
 
-    def to_config(self):
-        return {"kind": "quadratic_param", "a": self.a,
-                "b": [self.b.real, self.b.imag],
-                "c": [self.c.real, self.c.imag]}
-
 
 @dataclass(frozen=True)
 class FlowMap(MapSpec):
     """A flow's time-t solution map used as a fractal mapping function."""
 
-    flow: FlowSpec = None
-    t: float = 0.0
+    flow: FlowSpec
+    t: float
     kind: str = field(default="flow", init=False, repr=False)
 
     def __post_init__(self):
-        if self.flow is None:
-            raise ValueError("flow is required")
         if not math.isfinite(self.t):
             raise ValueError("t must be finite")
 
@@ -256,9 +227,6 @@ class FlowMap(MapSpec):
 
     def _inverse_array(self, w):
         return flow_inverse(self.flow, w, self.t)
-
-    def to_config(self):
-        return {"kind": "flow", "flow": self.flow.to_config(), "t": self.t}
 
 
 MAP_KINDS = {

@@ -5,6 +5,7 @@ measured numbers (run with -s to see them). Tolerances are fixed here, not
 tuned at runtime.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -20,6 +21,10 @@ from fractaldyn.core import GridSpec, OrbitStatus, RasterField
 from conftest import analytic_disk
 
 RECIPES = sorted(Path(__file__).resolve().parents[1].glob("recipes/*.json"))
+# SHA-256 of every recipe image and the resolved sidecar config (output
+# removed), as written by the code before config parsing was derived from
+# the spec dataclasses.
+RECIPE_DIGESTS = json.loads((Path(__file__).parent / "recipe_digests.json").read_text())
 
 
 def report(num, text):
@@ -48,13 +53,12 @@ def test_c02_identity_map_degenerates_to_plain_renders():
     jgrid = GridSpec(0j, 3.2, 3.2, 512, 512)
     c = -0.175 - 0.655j
     julia = fd.render_julia(jgrid, c, params)
-    fmi_j = fd.fmi_julia(fd.FmiScene(jgrid, c, fd.Identity(), params, fd.FmiMode.JULIA))
+    fmi_j = fd.fmi_julia(jgrid, c, fd.Identity(), params)
     assert fields_equal(julia, fmi_j)
 
     mgrid = GridSpec(-0.6 + 0j, 3.0, 3.0, 512, 512)
     mandel = fd.render_mandelbrot(mgrid, params)
-    fmi_m = fd.fmi_mandelbrot(fd.FmiScene(mgrid, 0j, fd.Identity(), params,
-                                          fd.FmiMode.MANDELBROT))
+    fmi_m = fd.fmi_mandelbrot(mgrid, fd.Identity(), params)
     assert fields_equal(mandel, fmi_m)
     report(2, "identity-map pullback renders are cell-for-cell equal to the plain renders")
 
@@ -69,7 +73,7 @@ def test_c03_forward_image_equals_pullback_classification():
     m = fd.Affine(2, 1)
     dst = src_grid.affine_image(2, 1)
     fwd = fd.forward_image(src, m, dst, supersample=3)
-    fmi = fd.fmi_julia(fd.FmiScene(dst, c, m, params, fd.FmiMode.JULIA))
+    fmi = fd.fmi_julia(dst, c, m, params)
     cmp_a = fd.compare_masks(fwd, fmi)
     assert cmp_a.jaccard >= 0.95
     assert cmp_a.hausdorff_px <= 2.0
@@ -84,7 +88,7 @@ def test_c03_forward_image_equals_pullback_classification():
     src2 = fd.render_julia(src_grid2, c2, params)
     dst2 = GridSpec(2.2 + 0j, 1.4, 2.4, 512, 512)
     fwd2 = fd.forward_image(src2, m2, dst2, supersample=8)
-    fmi2 = fd.fmi_julia(fd.FmiScene(dst2, c2, m2, params, fd.FmiMode.JULIA))
+    fmi2 = fd.fmi_julia(dst2, c2, m2, params)
     cmp_b = fd.compare_masks(fwd2, fmi2)
     assert cmp_b.jaccard >= 0.95
     assert cmp_b.hausdorff_px <= 2.0
@@ -222,9 +226,8 @@ def test_c08_discrete_trajectory(tmp_path):
     for k in range(1, 6):
         traj_k = fd.discrete_trajectory(c, fd.Affine(0.5, 0), k,
                                         grid.scaled(0.5 ** k), params, supersample=1)
-        composed = fd.fmi_julia(fd.FmiScene(grid.scaled(0.5 ** k), c,
-                                            fd.Affine(0.5, 0).iterated(k), params,
-                                            fd.FmiMode.JULIA))
+        composed = fd.fmi_julia(grid.scaled(0.5 ** k), c,
+                                fd.Affine(0.5, 0).iterated(k), params)
         assert fields_equal(traj_k.pullback[k], composed)
         js.append(fd.compare_masks(traj_k.pullback[k], base).jaccard)
     assert min(js) >= 0.9
@@ -271,7 +274,14 @@ def test_c10_recipes_are_deterministic(recipe, tmp_path):
     assert outputs[0].keys() == outputs[1].keys()
     for name in outputs[0]:
         assert outputs[0][name] == outputs[1][name], f"{name} differs between runs"
-    report(10, f"{recipe.stem}: {len(outputs[0])} image(s) byte-identical across runs")
+    expected = RECIPE_DIGESTS[recipe.stem]
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs[0].items()}
+    assert digests == expected["ppm"]
+    sidecar = json.loads((tmp_path / "first" / f"{recipe.stem}.json").read_text())
+    del sidecar["config"]["output"]
+    assert sidecar["config"] == expected["config"]
+    report(10, f"{recipe.stem}: {len(outputs[0])} image(s) byte-identical across runs "
+               f"and equal to the recorded digests")
 
 
 def test_recipe_set_is_complete():

@@ -91,7 +91,9 @@ def test_verify_fmt_needs_dst_grid_for_transcendental(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "command": "verify-fmt", "grid": grid16(), "c": [-1, 0],
         "map": {"kind": "arccos_reciprocal"}, "output": str(tmp_path / "out/v")})
-    assert main(["run", "--config", str(cfg)]) == 2
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "dst_grid" in err
 
 
 def test_dimension_sidecar_schema(tmp_path):

@@ -4,8 +4,8 @@ import pytest
 
 from fractaldyn.config import (ConfigError, apply_overrides, parse_config,
                                serialize_config, validate_config)
-from fractaldyn.flows import LimitCycle, NumericRK4
-from fractaldyn.maps import Affine, ArccosReciprocal, QuadraticParam
+from fractaldyn.flows import FLOW_KINDS, LimitCycle, NumericRK4
+from fractaldyn.maps import MAP_KINDS, Affine, ArccosReciprocal, QuadraticParam
 
 
 def julia_doc(**extra):
@@ -194,12 +194,58 @@ def all_command_docs():
     ]
 
 
-@pytest.mark.parametrize("doc", all_command_docs(),
-                         ids=[d["command"] for d in all_command_docs()])
+# One spec naming every key, per registered map and flow kind.
+SPECS = {
+    "identity": {"kind": "identity"},
+    "affine": {"kind": "affine", "a": [0.5, 0.25], "b": [0.1, 0]},
+    "arccos_reciprocal": {"kind": "arccos_reciprocal"},
+    "arcsin_root5": {"kind": "arcsin_root5"},
+    "reciprocal_sqrt": {"kind": "reciprocal_sqrt"},
+    "quadratic_param": {"kind": "quadratic_param", "a": 1, "b": [0.02, -0.02],
+                        "c": [-0.175, -0.655]},
+    "flow": {"kind": "flow", "flow": {"kind": "linear", "lambda": [-1, 0.5]}, "t": 0.5},
+    "linear": {"kind": "linear", "lambda": [-1, 0.5]},
+    "limit_cycle": {"kind": "limit_cycle"},
+    "periodic_forced": {"kind": "periodic_forced", "a": 0.01},
+    "numeric_rk4": {"kind": "numeric_rk4", "base": {"kind": "limit_cycle"}, "dt": 0.01},
+}
+KINDS = list(MAP_KINDS) + list(FLOW_KINDS)
+
+
+def kind_doc(kind, spec):
+    """A config using spec as its map (fmi-julia) or flow (flow-traj)."""
+    grid = {"center": [0, 0], "width": 3.0, "height": 3.0, "px_w": 16, "px_h": 16}
+    if kind in MAP_KINDS:
+        return {"command": "fmi-julia", "grid": grid, "c": [-1, 0], "map": spec,
+                "output": "o"}
+    return {"command": "flow-traj", "grid": grid, "c": [-1, 0], "flow": spec,
+            "t_list": [0, 0.5], "output": "o"}
+
+
+@pytest.mark.parametrize(
+    "doc", all_command_docs() + [kind_doc(k, SPECS[k]) for k in KINDS],
+    ids=[d["command"] for d in all_command_docs()] + KINDS)
 def test_serialize_round_trip(doc):
     cfg = parse_config(json.dumps(doc))
     again = parse_config(serialize_config(cfg))
     assert again == cfg
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_spec_keys_are_required_except_affine_b_and_rk4_dt(kind):
+    optional = {("affine", "b"): 0j, ("numeric_rk4", "dt"): 1e-3}
+    full = SPECS[kind]
+    section = "map" if kind in MAP_KINDS else "flow"
+    written = json.loads(serialize_config(parse_config(json.dumps(kind_doc(kind, full)))))
+    assert set(written[section]) == set(full)
+    for key in full:
+        doc = json.dumps(kind_doc(kind, {k: v for k, v in full.items() if k != key}))
+        if (kind, key) in optional:
+            spec = getattr(parse_config(doc), section)
+            assert getattr(spec, key) == optional[kind, key]
+        else:
+            with pytest.raises(ConfigError, match=f"missing required key '{key}'"):
+                parse_config(doc)
 
 
 def test_overrides_scalar_paths():

@@ -4,8 +4,7 @@ import pytest
 from fractaldyn.analysis import compare_masks
 from fractaldyn.core import GridSpec, OrbitStatus
 from fractaldyn.fji import IterParams, render_julia, render_mandelbrot
-from fractaldyn.fmi import (FmiMode, FmiScene, discrete_trajectory, fmi_julia,
-                            fmi_mandelbrot, forward_image)
+from fractaldyn.fmi import discrete_trajectory, fmi_julia, fmi_mandelbrot, forward_image
 from fractaldyn.maps import Affine, ArccosReciprocal, Identity, QuadraticParam
 
 from conftest import analytic_disk
@@ -20,29 +19,18 @@ def fields_equal(a, b):
 
 
 def test_identity_fmi_julia_equals_render(basilica_512):
-    scene = FmiScene(basilica_512.grid, -1 + 0j, Identity(), P, FmiMode.JULIA)
-    assert fields_equal(fmi_julia(scene), basilica_512)
+    assert fields_equal(fmi_julia(basilica_512.grid, -1 + 0j, Identity(), P), basilica_512)
 
 
 def test_identity_fmi_mandelbrot_equals_render():
     grid = GridSpec(-0.6 + 0j, 3.0, 3.0, 128, 128)
-    scene = FmiScene(grid, 0j, Identity(), P, FmiMode.MANDELBROT)
-    assert fields_equal(fmi_mandelbrot(scene), render_mandelbrot(grid, P))
-
-
-def test_mode_mismatch_raises(basilica_512):
-    scene = FmiScene(basilica_512.grid, -1 + 0j, Identity(), P, FmiMode.MANDELBROT)
-    with pytest.raises(ValueError):
-        fmi_julia(scene)
-    with pytest.raises(ValueError):
-        fmi_mandelbrot(FmiScene(basilica_512.grid, 0j, Identity(), P, FmiMode.JULIA))
+    assert fields_equal(fmi_mandelbrot(grid, Identity(), P), render_mandelbrot(grid, P))
 
 
 def test_fmi_julia_affine_doubles_unit_disk():
     # pullback classification of f(z)=2z on K_0 marks exactly |z| <= 2
     grid = GridSpec(0j, 5.0, 5.0, 256, 256)
-    scene = FmiScene(grid, 0j, Affine(2, 0), P, FmiMode.JULIA)
-    cmp = compare_masks(fmi_julia(scene), analytic_disk(grid, 2.0))
+    cmp = compare_masks(fmi_julia(grid, 0j, Affine(2, 0), P), analytic_disk(grid, 2.0))
     assert cmp.jaccard >= 0.98
     assert cmp.hausdorff_px <= 2.0
 
@@ -53,8 +41,7 @@ def test_fmi_mandelbrot_affine_shift():
     assert [complex(z) for z in grid.points()[0]] == [-0.5, 0.5, 1.5, 2.5]
     grid = GridSpec(1 + 0j, 4.0, 2.0, 2, 1)
     assert [complex(z) for z in grid.points()[0]] == [0, 2]
-    scene = FmiScene(grid, 0j, Affine(1, 1), P, FmiMode.MANDELBROT)
-    field = fmi_mandelbrot(scene)
+    field = fmi_mandelbrot(grid, Affine(1, 1), P)
     assert field.cell(0, 0).status == OrbitStatus.BOUNDED
     assert field.cell(1, 0).status == OrbitStatus.ESCAPED
 
@@ -62,8 +49,7 @@ def test_fmi_mandelbrot_affine_shift():
 def test_fmi_marks_pole_pixels_invalid():
     # arccos(1/z - 1) inverse has poles where cos w = -1: window around pi
     grid = GridSpec(np.pi + 0j, 0.2, 0.2, 33, 33)
-    scene = FmiScene(grid, -1 + 0j, ArccosReciprocal(), P, FmiMode.JULIA)
-    field = fmi_julia(scene)
+    field = fmi_julia(grid, -1 + 0j, ArccosReciprocal(), P)
     assert field.invalid_mask().sum() > 0
 
 
@@ -111,7 +97,7 @@ def test_fmt_equality_affine_on_aligned_image_grid(basilica_512):
     m = Affine(2, 1)
     dst = basilica_512.grid.affine_image(2, 1)
     fwd = forward_image(basilica_512, m, dst, supersample=3)
-    fmi = fmi_julia(FmiScene(dst, -1 + 0j, m, P, FmiMode.JULIA))
+    fmi = fmi_julia(dst, -1 + 0j, m, P)
     cmp = compare_masks(fwd, fmi)
     assert cmp.jaccard >= 0.95
     assert cmp.hausdorff_px <= 2.0
@@ -133,8 +119,8 @@ def test_semigroup_pullback_equals_iterated_map(basilica_512):
     m = Affine(0.5, 0)
     traj = discrete_trajectory(-1 + 0j, m, 4, basilica_512.grid, P)
     for k in (1, 2, 4):
-        scene = FmiScene(basilica_512.grid, -1 + 0j, m.iterated(k), P, FmiMode.JULIA)
-        assert fields_equal(traj.pullback[k], fmi_julia(scene))
+        assert fields_equal(traj.pullback[k],
+                            fmi_julia(basilica_512.grid, -1 + 0j, m.iterated(k), P))
 
 
 def test_trajectory_self_similarity_after_rescaling():
