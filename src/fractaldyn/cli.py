@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from . import analysis
-from .config import ConfigError, SceneConfig, apply_overrides, validate_config
+from .config import ConfigError, SceneConfig, parse_config
 from .fji import extract_boundary, render_julia, render_mandelbrot
 from .flows import trajectory_sweep
 from .fmi import discrete_trajectory, fmi_julia, fmi_mandelbrot, forward_image
@@ -163,24 +163,18 @@ def main(argv=None) -> int:
     run.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                      help="override a scalar config field (dotted path)")
     run.add_argument("--threads", type=int, default=1,
-                     help="cap on render worker threads")
+                     help="render worker threads, capped at the usable CPU count; "
+                          "output does not depend on it")
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"syntax error: {exc.msg}", exc.lineno) from None
-        raw = apply_overrides(raw, args.override)
-        cfg = validate_config(raw, text)
+        cfg = parse_config(Path(args.config).read_bytes(), args.override)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
     try:
-        threads = max(1, args.threads)
-        run_scene(cfg, threads)
+        run_scene(cfg, args.threads)
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

@@ -21,12 +21,8 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from .core import GridSpec
 from .fji import IterParams
 from .flows import FLOW_KINDS, FlowSpec
+from .imaging import PALETTES
 from .maps import MAP_KINDS, Affine, Identity, MapSpec
-
-COMMANDS = ("julia", "mandelbrot", "fmi-julia", "fmi-mandelbrot",
-            "discrete-traj", "flow-traj", "dimension", "verify-fmt", "zeno")
-
-PALETTE_NAMES = ("grayscale", "classic", "mono")
 
 
 class ConfigError(ValueError):
@@ -71,9 +67,12 @@ class _Ctx:
     def number(self, raw, key: str) -> float:
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             self.fail(key, f"{key!r} must be a number")
-        if not math.isfinite(raw):
-            self.fail(key, f"{key!r} must be finite")
-        return float(raw)
+        try:
+            if math.isfinite(raw):
+                return float(raw)
+        except OverflowError:  # an integer beyond the float range
+            pass
+        self.fail(key, f"{key!r} must be finite")
 
     def integer(self, raw, key: str) -> int:
         if isinstance(raw, bool) or not isinstance(raw, int):
@@ -89,10 +88,7 @@ class _Ctx:
         if (not isinstance(raw, list) or len(raw) != 2
                 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)):
             self.fail(key, f"{key!r} must be a two-element [re, im] array")
-        z = complex(raw[0], raw[1])
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            self.fail(key, f"{key!r} must be finite")
-        return z
+        return complex(self.number(raw[0], key), self.number(raw[1], key))
 
     def number_list(self, raw, key: str) -> tuple[float, ...]:
         if not isinstance(raw, list) or not raw:
@@ -174,6 +170,9 @@ _FIELDS: dict[str, dict[str, bool]] = {
     "zeno": {"d0": True, "t1": True, "n": True, "i0": False,
              "px_w": False, "px_h": False, "min_box": False, "max_box": False},
 }
+COMMANDS = tuple(_FIELDS)
+
+PALETTE_NAMES = tuple(PALETTES)
 
 # Values a command fills in for optional keys its config leaves out.
 _DEFAULTS: dict[str, dict] = {
@@ -294,15 +293,18 @@ def validate_config(raw: dict, text: str = "") -> SceneConfig:
     return SceneConfig(**{_FIELD_NAMES[key]: value for key, value in values.items()})
 
 
-def parse_config(text) -> SceneConfig:
-    """Parse and validate a config document (bytes or str)."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+def parse_config(text, overrides=()) -> SceneConfig:
+    """Parse a config document (bytes or str), apply key=value overrides
+    (see apply_overrides) and validate the result."""
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"syntax error: {exc.msg}", exc.lineno) from None
-    return validate_config(raw, text)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too many digits, nested too deep
+        raise ConfigError(f"unreadable config: {exc}") from None
+    return validate_config(apply_overrides(raw, overrides), text)
 
 
 def serialize_config(cfg: SceneConfig) -> str:
@@ -323,7 +325,7 @@ def apply_overrides(raw: dict, overrides) -> dict:
         path, _, val_text = item.partition("=")
         try:
             value = json.loads(val_text)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             value = val_text
         segments = path.split(".")
         node = raw
@@ -331,22 +333,18 @@ def apply_overrides(raw: dict, overrides) -> dict:
             last = idx == len(segments) - 1
             if isinstance(node, list):
                 try:
-                    pos = int(seg)
+                    seg = int(seg)
                 except ValueError:
                     raise ConfigError(f"override {path!r}: {seg!r} is not an index") from None
-                if not (0 <= pos < len(node)):
-                    raise ConfigError(f"override {path!r}: index {pos} out of range")
-                if last:
-                    node[pos] = value
-                else:
-                    node = node[pos]
+                if not (0 <= seg < len(node)):
+                    raise ConfigError(f"override {path!r}: index {seg} out of range")
             elif isinstance(node, dict):
-                if last:
-                    node[seg] = value
-                else:
-                    if seg not in node:
-                        node[seg] = {}
-                    node = node[seg]
+                if not last:
+                    node.setdefault(seg, {})
             else:
                 raise ConfigError(f"override {path!r}: {seg!r} does not address a field")
+            if last:
+                node[seg] = value
+            else:
+                node = node[seg]
     return raw

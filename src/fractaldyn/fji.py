@@ -12,6 +12,7 @@ index.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -49,81 +50,60 @@ def classify_orbit(z0: complex, c: complex, params: IterParams = IterParams()) -
     return OrbitResult.bounded(math.sqrt(m2) if m2 == m2 else math.inf)
 
 
-def _classify_block(z0, c, params: IterParams):
-    """Vectorized orbit classification over flat arrays.
-
-    z0 and c may be scalars or equal-length arrays. Non-finite seeds or
-    parameters mark the cell Invalid. Returns (status, iters, mags).
-    """
-    z0 = np.atleast_1d(np.asarray(z0, dtype=np.complex128))
-    c = np.asarray(c, dtype=np.complex128)
-    z0, c = np.broadcast_arrays(z0, c)
-    n_cells = z0.size
+def classify_grid(z0, c, params: IterParams, threads: int = 1):
+    """Classify seeds z0 with parameters c, broadcast together; returns
+    (status, iters, mags) in that shape. Non-finite seeds or parameters
+    mark the cell Invalid. The cells are split into contiguous bands, one
+    per worker thread, at most one per CPU in the process's affinity mask
+    (os.cpu_count() where the OS keeps none); a single band runs in the
+    caller's thread. Each cell's arithmetic is independent of its band, so
+    the output is identical for any thread count."""
+    z0, c = np.broadcast_arrays(np.asarray(z0, dtype=np.complex128),
+                                np.asarray(c, dtype=np.complex128))
+    shape = z0.shape
     z0 = z0.reshape(-1)
     c = c.reshape(-1)
-
+    n_cells = z0.size
     status = np.full(n_cells, OrbitStatus.BOUNDED, dtype=np.uint8)
     iters = np.zeros(n_cells, dtype=np.int32)
     mags = np.zeros(n_cells, dtype=np.float64)
-
-    invalid = ~(np.isfinite(z0) & np.isfinite(c))
-    status[invalid] = OrbitStatus.INVALID
-
-    active = np.flatnonzero(~invalid)
-    z = z0[active]
-    cc = c[active]
+    status[~(np.isfinite(z0) & np.isfinite(c))] = OrbitStatus.INVALID
     r2 = params.escape_radius * params.escape_radius
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(params.max_iter):
-            m2 = z.real * z.real + z.imag * z.imag
-            esc = (m2 > r2) | ~np.isfinite(m2)
-            if esc.any():
-                hit = active[esc]
-                status[hit] = OrbitStatus.ESCAPED
-                iters[hit] = n
-                ms = np.sqrt(m2[esc])
-                mags[hit] = np.where(np.isnan(ms), np.inf, ms)
-                keep = ~esc
-                active = active[keep]
-                z = z[keep]
-                cc = cc[keep]
-                if active.size == 0:
-                    break
-            z = z * z + cc
-        if active.size:
-            m2 = z.real * z.real + z.imag * z.imag
-            mags[active] = np.sqrt(m2)
-    return status, iters, mags
-
-
-def classify_grid(z0, c, params: IterParams, threads: int = 1):
-    """Classify a (px_h, px_w) block of seeds, optionally in row bands
-    across a thread pool. Band results are written to disjoint slices, so
-    the output is identical for any thread count."""
-    z0 = np.asarray(z0, dtype=np.complex128)
-    c = np.asarray(c, dtype=np.complex128)
-    z0b, cb = np.broadcast_arrays(z0, c)
-    shape = z0b.shape
-    if threads <= 1 or z0b.ndim < 2 or shape[0] < 2 * threads:
-        status, iters, mags = _classify_block(z0b.reshape(-1), cb.reshape(-1), params)
-        return status.reshape(shape), iters.reshape(shape), mags.reshape(shape)
-
-    status = np.empty(shape, dtype=np.uint8)
-    iters = np.empty(shape, dtype=np.int32)
-    mags = np.empty(shape, dtype=np.float64)
-    bounds = np.linspace(0, shape[0], threads + 1, dtype=int)
-
     def run(lo, hi):
-        s, it, mg = _classify_block(z0b[lo:hi].reshape(-1), cb[lo:hi].reshape(-1), params)
-        band = (hi - lo,) + shape[1:]
-        status[lo:hi] = s.reshape(band)
-        iters[lo:hi] = it.reshape(band)
-        mags[lo:hi] = mg.reshape(band)
+        active = lo + np.flatnonzero(status[lo:hi] != OrbitStatus.INVALID)
+        z = z0[active]
+        cc = c[active]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(params.max_iter):
+                m2 = z.real * z.real + z.imag * z.imag
+                esc = (m2 > r2) | ~np.isfinite(m2)
+                if esc.any():
+                    hit = active[esc]
+                    status[hit] = OrbitStatus.ESCAPED
+                    iters[hit] = n
+                    ms = np.sqrt(m2[esc])
+                    mags[hit] = np.where(np.isnan(ms), np.inf, ms)
+                    keep = ~esc
+                    active = active[keep]
+                    z = z[keep]
+                    cc = cc[keep]
+                    if active.size == 0:
+                        break
+                z = z * z + cc
+            if active.size:
+                m2 = z.real * z.real + z.imag * z.imag
+                mags[active] = np.sqrt(m2)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda b: run(*b), zip(bounds[:-1], bounds[1:])))
-    return status, iters, mags
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = max(1, min(threads, cpus or 1, n_cells))
+    bounds = np.linspace(0, n_cells, workers + 1, dtype=int)
+    if workers == 1:
+        run(0, n_cells)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, bounds[:-1], bounds[1:]))
+    return status.reshape(shape), iters.reshape(shape), mags.reshape(shape)
 
 
 def render_julia(grid: GridSpec, c: complex, params: IterParams = IterParams(),

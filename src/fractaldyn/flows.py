@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainError, GridSpec, RasterField, require_finite
+from .core import GridSpec, RasterField, evaluate, require_finite
 from .fji import IterParams, classify_grid
 
 
@@ -41,41 +41,30 @@ class FlowSpec:
         raise NotImplementedError
 
     def _inverse_array(self, z: np.ndarray, t: float) -> np.ndarray:
-        raise NotImplementedError
+        # An autonomous flow has the group property: A_t^{-1} = A_{-t}.
+        return self._apply_array(z, -t)
 
 
-def _scalar_eval(fn, z: complex, t: float) -> complex:
-    z = require_finite(z, "z")
+def _at_time(fn, t: float):
+    """fn(., t) as a one-argument array map. At t = 0 every kind is the
+    exact identity, so no arithmetic runs there."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    out = fn(np.asarray([z], dtype=np.complex128), float(t))
-    w = complex(out[0])
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise DomainError(f"flow evaluation undefined at z={z}, t={t}")
-    return w
+    if t == 0.0:
+        return np.copy
+    return lambda z: fn(z, float(t))
 
 
 def flow_apply(flow: FlowSpec, z, t: float):
     """A_t z. Accepts a scalar (raises DomainError when undefined) or an
-    ndarray (undefined entries become NaN)."""
-    if isinstance(z, np.ndarray):
-        if t == 0.0:
-            return z.astype(np.complex128, copy=True)
-        return flow._apply_array(np.asarray(z, dtype=np.complex128), float(t))
-    if t == 0.0:
-        return require_finite(z, "z")
-    return _scalar_eval(flow._apply_array, z, t)
+    ndarray (undefined entries become NaN); a non-finite t raises
+    ValueError."""
+    return evaluate(_at_time(flow._apply_array, t), z, f"{flow.kind} flow at t={t}")
 
 
 def flow_inverse(flow: FlowSpec, z, t: float):
     """Inverse of A_t (time-t state back to time 0)."""
-    if isinstance(z, np.ndarray):
-        if t == 0.0:
-            return z.astype(np.complex128, copy=True)
-        return flow._inverse_array(np.asarray(z, dtype=np.complex128), float(t))
-    if t == 0.0:
-        return require_finite(z, "z")
-    return _scalar_eval(flow._inverse_array, z, t)
+    return evaluate(_at_time(flow._inverse_array, t), z, f"{flow.kind} inverse flow at t={t}")
 
 
 @dataclass(frozen=True)
@@ -88,9 +77,6 @@ class Linear(FlowSpec):
 
     def _apply_array(self, z, t):
         return z * np.exp(complex(self.lam) * t)
-
-    def _inverse_array(self, z, t):
-        return self._apply_array(z, -t)
 
 
 @dataclass(frozen=True)
@@ -110,9 +96,6 @@ class LimitCycle(FlowSpec):
                            2.0 * math.exp(4.0 * t) / np.sqrt(np.abs(radicand)),
                            np.nan)
         return rho * np.exp(1j * (phi0 + t))
-
-    def _inverse_array(self, z, t):
-        return self._apply_array(z, -t)
 
 
 @dataclass(frozen=True)
@@ -156,8 +139,6 @@ class NumericRK4(FlowSpec):
         return self.base.rhs(t, z)
 
     def _integrate(self, z, t0: float, t1: float):
-        if t1 == t0:
-            return z.astype(np.complex128, copy=True)
         n = max(1, math.ceil(abs(t1 - t0) / self.dt))
         h = (t1 - t0) / n
         g = self.base.rhs
@@ -214,8 +195,6 @@ def fmi_flow_julia(grid: GridSpec, c: complex, flow: FlowSpec, t: float,
 
 def trajectory_sweep(grid: GridSpec, c: complex, flow: FlowSpec, t_values,
                      params: IterParams = IterParams(), threads: int = 1) -> list[RasterField]:
-    """Flow-image rasters at each time in t_values, in order."""
-    for t in t_values:
-        if not math.isfinite(t):
-            raise ValueError(f"t values must be finite, got {t}")
+    """Flow-image rasters at each time in t_values, in order. A non-finite
+    time raises ValueError when its frame is reached."""
     return [fmi_flow_julia(grid, c, flow, float(t), params, threads) for t in t_values]

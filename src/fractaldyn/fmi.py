@@ -113,8 +113,7 @@ def discrete_trajectory(c: complex, m: MapSpec, k_max: int, grid: GridSpec,
     pullback = [frame0]
     pushforward = [frame0]
 
-    zs = grid.points()
-    w = zs
+    w = grid.points()
     for _ in range(k_max):
         w = eval_inverse(m, w)
         status, iters, mags = classify_grid(w, c, params, threads)

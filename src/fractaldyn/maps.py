@@ -2,9 +2,10 @@
 
 Every multivalued operation takes its principal branch: log has imaginary
 part in (-pi, pi], w**(1/n) = exp(log(w)/n), and arccos/arcsin are the
-numpy principal branches. Poles and branch points are excluded with a
-1e-9 neighborhood; scalar evaluation raises DomainError there, array
-evaluation returns NaN entries, and callers render those pixels Invalid.
+numpy principal branches. Poles are excluded with a 1e-9 neighborhood
+(branch points are not); scalar evaluation raises DomainError there,
+array evaluation returns NaN entries, and callers render those pixels
+Invalid.
 
 Forward / inverse pairs:
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import qmc
 
-from .core import DomainError, GridSpec, require_finite
+from .core import GridSpec, evaluate, require_finite
 from .flows import FlowSpec, flow_apply, flow_inverse
 
 POLE_EXCLUSION = 1e-9
@@ -55,28 +56,15 @@ class MapSpec:
         raise NotImplementedError(f"{self.kind} has no closed-form iterate")
 
 
-def _scalar(fn, z: complex, what: str, kind: str) -> complex:
-    z = require_finite(z, "z")
-    out = fn(np.asarray([z], dtype=np.complex128))
-    w = complex(out[0])
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise DomainError(f"{kind} {what} undefined at {z}")
-    return w
-
-
 def eval_forward(m: MapSpec, z):
     """f(z). Scalars raise DomainError outside the domain; ndarrays mark
     those entries NaN."""
-    if isinstance(z, np.ndarray):
-        return m._forward_array(np.asarray(z, dtype=np.complex128))
-    return _scalar(m._forward_array, z, "forward", m.kind)
+    return evaluate(m._forward_array, z, f"{m.kind} forward")
 
 
 def eval_inverse(m: MapSpec, w):
     """f^{-1}(w), with the same scalar/array conventions as eval_forward."""
-    if isinstance(w, np.ndarray):
-        return m._inverse_array(np.asarray(w, dtype=np.complex128))
-    return _scalar(m._inverse_array, w, "inverse", m.kind)
+    return evaluate(m._inverse_array, w, f"{m.kind} inverse")
 
 
 def _principal_root(w: np.ndarray, n: int) -> np.ndarray:

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from fractaldyn.cli import main
 from fractaldyn.imaging import INVALID_RGB
 
@@ -48,6 +50,40 @@ def test_invalid_config_returns_one(tmp_path, capsys):
     cfg = write_config(tmp_path, {"command": "julia", "output": "x"})
     assert main(["run", "--config", str(cfg)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_syntax_error_returns_one_with_line(tmp_path, capsys):
+    cfg = tmp_path / "scene.json"
+    cfg.write_text('{\n  "command": "julia",\n  oops\n}')
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "line 3" in err
+
+
+@pytest.mark.parametrize("digits, message", [
+    (400, "'width' must be finite"),  # beyond the float range
+    (5000, "'width' must be a number"),  # beyond the int-string limit: a string
+], ids=["float_range", "int_string_limit"])
+def test_override_beyond_float_range_is_config_error(tmp_path, capsys, digits, message):
+    cfg = write_config(tmp_path, {
+        "command": "julia", "grid": grid16(), "c": [-1, 0],
+        "output": str(tmp_path / "out/a")})
+    assert main(["run", "--config", str(cfg),
+                 "--override", "grid.width=1" + "0" * digits]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
+@pytest.mark.parametrize("doc", [
+    b'{"command": "julia", "grid": {"width": 1' + b"0" * 5000 + b"}}",
+    b'{"command": "julia", "output": "\xff"}',
+    b"[" * 100000 + b"]" * 100000,
+], ids=["integer_too_long", "not_utf8", "nested_too_deep"])
+def test_unreadable_config_returns_one(tmp_path, capsys, doc):
+    cfg = tmp_path / "scene.json"
+    cfg.write_bytes(doc)
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "config error: unreadable config" in capsys.readouterr().err
 
 
 def test_runtime_error_returns_two(tmp_path, capsys):

@@ -90,6 +90,9 @@ def test_unknown_command():
     {"c": [1]},
     {"c": ["a", 2]},
     {"output": ""},
+    # integers beyond the float range
+    {"grid": {"center": [0, 0], "width": 10 ** 400, "height": 1, "px_w": 2, "px_h": 2}},
+    {"c": [0, -10 ** 400]},
 ])
 def test_out_of_range_values_rejected(patch):
     with pytest.raises(ConfigError):

@@ -1,6 +1,10 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
+from fractaldyn import fji
 from fractaldyn.core import GridSpec, OrbitStatus, RasterField
 from fractaldyn.fji import (IterParams, classify_grid, classify_orbit,
                             extract_boundary, render_julia, render_mandelbrot)
@@ -205,3 +209,68 @@ def test_boundary_preserves_invalid_cells():
     f.status[1, 1] = OrbitStatus.INVALID
     b = extract_boundary(f)
     assert b.status[1, 1] == OrbitStatus.INVALID
+
+
+def _band_inputs():
+    grid = GridSpec(-0.1 + 0.05j, 3.0, 3.0, 96, 96)
+    seeds = np.random.default_rng(5).uniform(-1.5, 1.5, 50).astype(np.complex128)
+    seeds[[3, 17]] = [np.nan, complex(0, np.inf)]
+    return {
+        "grid": (grid.points(), np.complex128(-0.7589 + 0.0735j)),
+        "row": (np.complex128(0), GridSpec(0j, 5.0, 2.0, 5, 1).points()),
+        "seeds_1d": (seeds, np.complex128(-0.4 + 0.6j)),
+        "seed_0d": (np.complex128(0.3 + 0.2j), np.complex128(-1)),
+    }
+
+
+@pytest.mark.parametrize("name", ["grid", "row", "seeds_1d", "seed_0d"])
+def test_classify_grid_output_is_independent_of_threads(name, monkeypatch):
+    # eight CPUs so that the bands really split on a smaller host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    z0, c = _band_inputs()[name]
+    params = IterParams(150, 2.0)
+    ref = classify_grid(z0, c, params, threads=1)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the bands' writes as finely as possible
+    try:
+        for threads in (2, 3, 7):
+            out = classify_grid(z0, c, params, threads=threads)
+            for got, want in zip(out, ref):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.array_equal(got, want)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_classify_grid_caps_workers_at_cpu_count(monkeypatch):
+    built = []
+
+    class InlinePool:
+        """Records max_workers and runs the bands in the calling thread."""
+
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(fji, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)  # the host may have more CPUs
+    z0 = GridSpec(0j, 3.0, 3.0, 24, 24).points()
+    ref = classify_grid(z0, np.complex128(-1), P, threads=1)
+    assert built == []
+    out = classify_grid(z0, np.complex128(-1), P, threads=10 ** 6)
+    assert built == [4]
+    for got, want in zip(out, ref):
+        assert np.array_equal(got, want)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    classify_grid(z0, np.complex128(-1), P, threads=4)
+    assert built == [4]

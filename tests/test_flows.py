@@ -43,8 +43,13 @@ def test_flow_apply_t0_is_exact_identity_for_all_kinds():
     zs = sample_points(20, seed=3)
     for flow in (Linear(-1), LimitCycle(), PeriodicForced(0.01),
                  NumericRK4(Linear(-1), 1e-3)):
-        out = flow_apply(flow, zs, 0.0)
-        assert np.array_equal(out, zs)
+        for evaluate in (flow_apply, flow_inverse):
+            out = evaluate(flow, zs, 0.0)
+            assert np.array_equal(out, zs) and out is not zs
+            assert evaluate(flow, complex(zs[1]), 0.0) == complex(zs[1])
+            for t in (math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    evaluate(flow, zs, t)
 
 
 def test_group_property_autonomous():
