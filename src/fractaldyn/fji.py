@@ -7,12 +7,20 @@ it at index n (the seed itself counts as index 0). With radius >= 2 and
 Magnitudes are compared squared to avoid overflow in the final hypot;
 arithmetic overflow to a non-finite value reads as an escape at that
 index.
+
+The array kernel classify_grid stops a cell as soon as its orbit returns
+exactly to an earlier floating-point value (periodicity checking, after
+Brent's cycle detection). Such an orbit cycles through values that all
+passed the escape test, so the cell is Bounded, and its last magnitude
+is read off the cycle: the output is bit-identical to running every
+cell for the full budget, only faster inside the set.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -22,6 +30,7 @@ from .core import GridSpec, OrbitResult, OrbitStatus, RasterField, require_finit
 
 DEFAULT_MAX_ITER = 500
 DEFAULT_ESCAPE_RADIUS = 2.0
+_CYCLE_CHECK_EVERY = 8  # iterations between periodicity checks
 
 
 @dataclass(frozen=True)
@@ -32,8 +41,9 @@ class IterParams:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not (self.escape_radius > 0 and math.isfinite(self.escape_radius)):
-            raise ValueError("escape_radius must be positive and finite")
+        # under 2 a bounded orbit can pass the radius, so part of the set reads Escaped
+        if not (self.escape_radius >= 2 and math.isfinite(self.escape_radius)):
+            raise ValueError("escape_radius must be >= 2 and finite")
 
 
 def classify_orbit(z0: complex, c: complex, params: IterParams = IterParams()) -> OrbitResult:
@@ -57,7 +67,18 @@ def classify_grid(z0, c, params: IterParams, threads: int = 1):
     per worker thread, at most one per CPU in the process's affinity mask
     (os.cpu_count() where the OS keeps none); a single band runs in the
     caller's thread. Each cell's arithmetic is independent of its band, so
-    the output is identical for any thread count."""
+    the output is identical for any thread count.
+
+    Periodicity checking (Brent's cycle detection): each active cell's z
+    is saved at iterations 8, 16, 32, ... and, every 8 iterations after
+    the first save, compared with the saved value after the escape test.
+    z -> z*z + c is a function of z in floating point, so a cell whose z
+    equals its saved value (a signed-zero mismatch changes no magnitude)
+    repeats a cycle of values that all passed the escape test: it is
+    Bounded. It is finished with (max_iter - n) mod p more steps, p being
+    the iterations since the save; they land on the value the full budget
+    ends on, so its last magnitude, and the whole output, equal a run
+    without the check bit for bit."""
     z0, c = np.broadcast_arrays(np.asarray(z0, dtype=np.complex128),
                                 np.asarray(c, dtype=np.complex128))
     shape = z0.shape
@@ -67,29 +88,50 @@ def classify_grid(z0, c, params: IterParams, threads: int = 1):
     status = np.full(n_cells, OrbitStatus.BOUNDED, dtype=np.uint8)
     iters = np.zeros(n_cells, dtype=np.int32)
     mags = np.zeros(n_cells, dtype=np.float64)
+    saved = np.empty(n_cells, dtype=np.complex128)
     status[~(np.isfinite(z0) & np.isfinite(c))] = OrbitStatus.INVALID
-    r2 = params.escape_radius * params.escape_radius
+    # capped so that ~(m2 <= r2) still reads an infinite m2 as an escape
+    r2 = min(params.escape_radius * params.escape_radius, sys.float_info.max)
 
     def run(lo, hi):
         active = lo + np.flatnonzero(status[lo:hi] != OrbitStatus.INVALID)
         z = z0[active]
         cc = c[active]
+        saved_n = 0
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(params.max_iter):
                 m2 = z.real * z.real + z.imag * z.imag
-                esc = (m2 > r2) | ~np.isfinite(m2)
-                if esc.any():
+                esc = ~(m2 <= r2)  # NaN and inf escape too
+                done = esc
+                if n % _CYCLE_CHECK_EVERY == 0 and saved_n:
+                    cyc = z == saved[active]
+                    if cyc.any():
+                        # the full budget ends this many steps past z_n, on the cycle
+                        steps = (params.max_iter - n) % (n - saved_n)
+                        m2c = m2[cyc]
+                        if steps:
+                            zc, cyc_c = z[cyc], cc[cyc]
+                            for _ in range(steps):
+                                zc = zc * zc + cyc_c
+                            m2c = zc.real * zc.real + zc.imag * zc.imag
+                        mags[active[cyc]] = np.sqrt(m2c)
+                        done = esc | cyc
+                if done.any():
                     hit = active[esc]
                     status[hit] = OrbitStatus.ESCAPED
                     iters[hit] = n
                     ms = np.sqrt(m2[esc])
                     mags[hit] = np.where(np.isnan(ms), np.inf, ms)
-                    keep = ~esc
+                    keep = ~done
                     active = active[keep]
                     z = z[keep]
                     cc = cc[keep]
                     if active.size == 0:
                         break
+                if n & (n - 1) == 0 and n >= _CYCLE_CHECK_EVERY:
+                    saved[active] = z
+                    saved_n = n
+                # not in place: numpy's in-place complex square rounds differently at length 1
                 z = z * z + cc
             if active.size:
                 m2 = z.real * z.real + z.imag * z.imag

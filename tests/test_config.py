@@ -93,6 +93,7 @@ def test_unknown_command():
     # integers beyond the float range
     {"grid": {"center": [0, 0], "width": 10 ** 400, "height": 1, "px_w": 2, "px_h": 2}},
     {"c": [0, -10 ** 400]},
+    {"iter": {"escape_radius": 1.5}},  # under 2, bounded orbits would read Escaped
 ])
 def test_out_of_range_values_rejected(patch):
     with pytest.raises(ConfigError):

@@ -1,8 +1,10 @@
 import os
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractaldyn import fji
 from fractaldyn.core import GridSpec, OrbitStatus, RasterField
@@ -60,6 +62,8 @@ def test_iter_params_validation():
         IterParams(0, 2.0)
     with pytest.raises(ValueError):
         IterParams(10, 0.0)
+    with pytest.raises(ValueError):
+        IterParams(10, 1.5)  # bounded orbits would read Escaped
 
 
 def test_vectorized_kernel_matches_scalar_path():
@@ -274,3 +278,110 @@ def test_classify_grid_caps_workers_at_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     classify_grid(z0, np.complex128(-1), P, threads=4)
     assert built == [4]
+
+
+def _full_budget_kernel(z0, c, params):
+    """classify_grid without periodicity checking, in one band: every
+    Bounded cell runs the full budget. The reference it must equal."""
+    z0, c = np.broadcast_arrays(np.asarray(z0, dtype=np.complex128),
+                                np.asarray(c, dtype=np.complex128))
+    shape = z0.shape
+    z0 = z0.reshape(-1)
+    c = c.reshape(-1)
+    status = np.full(z0.size, OrbitStatus.BOUNDED, dtype=np.uint8)
+    iters = np.zeros(z0.size, dtype=np.int32)
+    mags = np.zeros(z0.size, dtype=np.float64)
+    status[~(np.isfinite(z0) & np.isfinite(c))] = OrbitStatus.INVALID
+    r2 = params.escape_radius * params.escape_radius
+    active = np.flatnonzero(status != OrbitStatus.INVALID)
+    z = z0[active]
+    cc = c[active]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(params.max_iter):
+            m2 = z.real * z.real + z.imag * z.imag
+            esc = (m2 > r2) | ~np.isfinite(m2)
+            if esc.any():
+                hit = active[esc]
+                status[hit] = OrbitStatus.ESCAPED
+                iters[hit] = n
+                ms = np.sqrt(m2[esc])
+                mags[hit] = np.where(np.isnan(ms), np.inf, ms)
+                keep = ~esc
+                active = active[keep]
+                z = z[keep]
+                cc = cc[keep]
+            z = z * z + cc
+        mags[active] = np.sqrt(z.real * z.real + z.imag * z.imag)
+    return status.reshape(shape), iters.reshape(shape), mags.reshape(shape)
+
+
+def _assert_same_bytes(out, ref):
+    for got, want in zip(out, ref):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.reshape(-1).view(np.uint8), want.reshape(-1).view(np.uint8))
+
+
+def _windows(px):
+    """The interior workload's four windows, a full Julia frame and the
+    full Mandelbrot set, as (z0, c)."""
+    def points(center, width, height=None):
+        return GridSpec(center, width, height or width, px, px).points()
+    return {
+        "basilica": (points(0j, 0.425), np.complex128(-1)),
+        "quarter_i": (points(0j, 0.3), np.complex128(0.25j)),
+        "no_cycle": (points(0.2969 + 0.1844j, 0.045), np.complex128(-0.7589 + 0.0735j)),
+        "cardioid": (np.complex128(0), points(-0.1 + 0j, 0.4)),
+        "julia_full": (points(0j, 3.2), np.complex128(-0.7589 + 0.0735j)),
+        "mandelbrot_full": (np.complex128(0), points(-0.5 + 0j, 3.0, 2.5)),
+    }
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 9, 17, 400])
+@pytest.mark.parametrize("name", ["basilica", "quarter_i", "no_cycle", "cardioid",
+                                  "julia_full", "mandelbrot_full"])
+def test_classify_grid_equals_full_budget_kernel(name, max_iter):
+    z0, c = _windows(96)[name]
+    params = IterParams(max_iter, 2.0)
+    _assert_same_bytes(classify_grid(z0, c, params), _full_budget_kernel(z0, c, params))
+
+
+@pytest.mark.parametrize("radius", [2.0, 1e300])  # 1e300 squared overflows to inf
+def test_classify_grid_equals_full_budget_kernel_on_nonfinite_and_huge_seeds(radius):
+    seeds = np.array([np.nan, complex(0, np.nan), np.inf, complex(-np.inf, 1), 1e100,
+                      1.3e154, 1.5e154, 1e200, 0j, -1 + 0j, 0.1 + 0.2j, 2 + 0j])
+    params = IterParams(60, radius)
+    for c in (np.complex128(-1), np.complex128(0.25j), np.full(seeds.shape, np.nan + 0j)):
+        _assert_same_bytes(classify_grid(seeds, c, params), _full_budget_kernel(seeds, c, params))
+
+
+@settings(max_examples=60, deadline=None)
+@given(center=st.complex_numbers(max_magnitude=2.0),
+       width=st.floats(1e-9, 4.0),
+       px=st.tuples(st.integers(1, 16), st.integers(1, 16)),
+       c=st.complex_numbers(max_magnitude=2.0),
+       mandelbrot=st.booleans(),
+       max_iter=st.integers(1, 300),
+       threads=st.integers(1, 8))
+def test_classify_grid_equals_full_budget_kernel_on_random_windows(
+        center, width, px, c, mandelbrot, max_iter, threads):
+    points = GridSpec(center, width, width, *px).points()
+    z0, c = (np.complex128(0), points) if mandelbrot else (points, np.complex128(c))
+    params = IterParams(max_iter, 2.0)
+    # eight CPUs so that the bands really split on a smaller host
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(8)), create=True):
+        out = classify_grid(z0, c, params, threads=threads)
+    _assert_same_bytes(out, _full_budget_kernel(z0, c, params))
+
+
+@pytest.mark.parametrize("c", [-0.4 + 0.6j, -1 + 0j, 0.25j])
+def test_each_seed_alone_equals_its_batch_entry(c):
+    # numpy's in-place complex multiply rounds 1-element arrays differently
+    # from longer ones; a kernel using it would fail here
+    rng = np.random.default_rng(17)
+    seeds = rng.uniform(-1.2, 1.2, 400) + 1j * rng.uniform(-1.2, 1.2, 400)
+    params = IterParams(200, 2.0)
+    batch = classify_grid(seeds, np.complex128(c), params)
+    for k in range(seeds.size):
+        alone = classify_grid(seeds[k:k + 1], np.complex128(c), params)
+        for got, want in zip(alone, batch):
+            assert got.tobytes() == want[k:k + 1].tobytes()
