@@ -6,10 +6,13 @@ is strict: unknown keys anywhere, missing required keys, and
 out-of-range values are all rejected, with the offending line quoted
 when it can be located in the source text.
 
-The grid, iter, map and flow sections have no schema of their own: their
-keys are the init fields of ``GridSpec``, ``IterParams`` and the classes
-in ``MAP_KINDS`` / ``FLOW_KINDS``. A field without a default is a
-required key, and the range checks are the constructors' own.
+Keys are declared only on dataclasses. The top-level keys are the fields
+of ``SceneConfig``: a field's annotation picks its parser, its
+``metadata["min"]`` is its lower bound and its default is what a command
+accepting the key fills in. The grid, iter, map and flow sections are the
+init fields of ``GridSpec``, ``IterParams`` and the classes in
+``MAP_KINDS`` / ``FLOW_KINDS``; a field without a default is a required
+key, and the range checks are the constructors' own.
 """
 
 from __future__ import annotations
@@ -123,29 +126,54 @@ def _parse_spec(ctx: _Ctx, raw, schema, where: str):
     for f in init:
         key = _key(f)
         if key in raw or (f.default is MISSING and f.default_factory is MISSING):
-            kw[f.name] = _FIELD_PARSERS[f.type](ctx, ctx.require(raw, key, where), key)
+            kw[f.name] = _parse_field(ctx, f, ctx.require(raw, key, where))
     try:
         return schema(**kw)
     except ValueError as exc:
         ctx.fail(where, f"{where}: {exc}")
 
 
-# Spec field annotation -> parser of that field's JSON value.
+# Field annotation, less any " | None" -> parser of that field's JSON value.
 _FIELD_PARSERS = {
     "complex": _Ctx.complex_pair,
     "float": _Ctx.number,
     "int": _Ctx.integer,
+    "bool": _Ctx.boolean,
+    "tuple[float, ...]": _Ctx.number_list,
+    "GridSpec": lambda ctx, raw, key: _parse_spec(ctx, raw, GridSpec, key),
+    "IterParams": lambda ctx, raw, key: _parse_spec(ctx, raw, IterParams, key),
+    "MapSpec": lambda ctx, raw, key: _parse_spec(ctx, raw, MAP_KINDS, key),
     "FlowSpec": lambda ctx, raw, key: _parse_spec(ctx, raw, FLOW_KINDS, key),
 }
 
 
+def _type(f) -> str:
+    return f.type.removesuffix(" | None")
+
+
+def _parse_field(ctx: _Ctx, f, raw):
+    """The value of a dataclass field from its key's JSON value. A
+    ``metadata["min"]`` bound may be equalled by an integer; a real number
+    (d0, t1) must exceed it."""
+    key, low = _key(f), f.metadata.get("min")
+    value = _FIELD_PARSERS[_type(f)](ctx, raw, key)
+    if low is not None:
+        strict = isinstance(value, float)
+        if value < low or (strict and value == low):
+            ctx.fail(key, f"{key} must be {'>' if strict else '>='} {low}")
+    return value
+
+
 def _spec_dict(spec) -> dict:
-    """JSON object for a spec dataclass; _parse_spec inverts it. The
-    init=False ``kind`` field of the map and flow classes is written too."""
+    """JSON object for a spec dataclass, leaving out None values;
+    _parse_spec inverts it. The init=False ``kind`` field of the map and
+    flow classes is written too."""
     doc = {}
     for f in fields(spec):
         value = getattr(spec, f.name)
-        if f.type == "complex":
+        if value is None:
+            continue
+        if _type(f) == "complex":
             value = [value.real, value.imag]
         elif is_dataclass(value):
             value = _spec_dict(value)
@@ -174,89 +202,39 @@ COMMANDS = tuple(_FIELDS)
 
 PALETTE_NAMES = tuple(PALETTES)
 
-# Values a command fills in for optional keys its config leaves out.
-_DEFAULTS: dict[str, dict] = {
-    "discrete-traj": {"supersample": 3},
-    "verify-fmt": {"supersample": 3},
-    "dimension": {"boundary": True},
-    "zeno": {"i0": 0, "px_w": 1024, "px_h": 512},
-}
-
-# Sections that are spec dataclasses (see _parse_spec).
-_SPECS = {"grid": GridSpec, "dst_grid": GridSpec, "iter": IterParams,
-          "map": MAP_KINDS, "flow": FLOW_KINDS}
-
-# Every other key: (parser, lower bound). An integer may equal its bound;
-# a real number (d0, t1) must exceed it.
-_SCALARS = {
-    "c": (_Ctx.complex_pair, None),
-    "t_list": (_Ctx.number_list, None),
-    "boundary": (_Ctx.boolean, None),
-    "k_max": (_Ctx.integer, 0),
-    "supersample": (_Ctx.integer, 1),
-    "min_box": (_Ctx.integer, 2),
-    "max_box": (_Ctx.integer, 2),
-    "n": (_Ctx.integer, 1),
-    "i0": (_Ctx.integer, 0),
-    "px_w": (_Ctx.integer, 1),
-    "px_h": (_Ctx.integer, 1),
-    "d0": (_Ctx.number, 0),
-    "t1": (_Ctx.number, 0),
-}
-
-
-def _parse_scalar(ctx: _Ctx, raw, key: str):
-    parse, low = _SCALARS[key]
-    value = parse(ctx, raw, key)
-    if low is not None:
-        strict = parse is _Ctx.number
-        if value < low or (strict and value == low):
-            ctx.fail(key, f"{key} must be {'>' if strict else '>='} {low}")
-    return value
-
 
 @dataclass(frozen=True)
 class SceneConfig:
+    """A validated scene, one field per top-level key. Keys are checked in
+    field order, which agrees with each command's key order in ``_FIELDS``."""
+
     command: str
     output: str
     grid: GridSpec | None = None
-    dst_grid: GridSpec | None = None
     c: complex | None = None
     map: MapSpec | None = None
+    dst_grid: GridSpec | None = None
     flow: FlowSpec | None = None
     t_list: tuple[float, ...] | None = None
-    k_max: int | None = None
+    k_max: int | None = field(default=None, metadata={"min": 0})
     iter_params: IterParams = field(default_factory=IterParams, metadata={"key": "iter"})
     palette: str = "classic"
-    supersample: int | None = None
-    boundary: bool | None = None
-    min_box: int | None = None
-    max_box: int | None = None
-    d0: float | None = None
-    t1: float | None = None
-    n: int | None = None
-    i0: int | None = None
-    px_w: int | None = None
-    px_h: int | None = None
+    supersample: int = field(default=3, metadata={"min": 1})
+    boundary: bool = True
+    d0: float | None = field(default=None, metadata={"min": 0})
+    t1: float | None = field(default=None, metadata={"min": 0})
+    n: int | None = field(default=None, metadata={"min": 1})
+    i0: int = field(default=0, metadata={"min": 0})
+    px_w: int = field(default=1024, metadata={"min": 1})
+    px_h: int = field(default=512, metadata={"min": 1})
+    min_box: int | None = field(default=None, metadata={"min": 2})
+    max_box: int | None = field(default=None, metadata={"min": 2})
 
     def to_dict(self) -> dict:
         """Fully resolved config (defaults applied) as a JSON-ready dict:
         every key the command accepts that has a value."""
         accepted = set(_FIELDS[self.command]) | {"command", "output", "palette"}
-        doc = {}
-        for f in fields(self):
-            key, value = _key(f), getattr(self, f.name)
-            if key not in accepted or value is None:
-                continue
-            if is_dataclass(value):
-                value = _spec_dict(value)
-            elif isinstance(value, complex):
-                value = [value.real, value.imag]
-            doc[key] = value
-        return doc
-
-
-_FIELD_NAMES = {_key(f): f.name for f in fields(SceneConfig)}
+        return {k: v for k, v in _spec_dict(self).items() if k in accepted}
 
 
 def validate_config(raw: dict, text: str = "") -> SceneConfig:
@@ -280,17 +258,14 @@ def validate_config(raw: dict, text: str = "") -> SceneConfig:
     if palette not in PALETTE_NAMES:
         ctx.fail("palette", f"palette must be one of {PALETTE_NAMES}")
 
-    values = {"command": command, "output": output, "palette": palette,
-              **_DEFAULTS.get(command, {})}
-    for key in keys:
-        if key in raw and key in _SPECS:
-            values[key] = _parse_spec(ctx, raw[key], _SPECS[key], key)
-        elif key in raw:
-            values[key] = _parse_scalar(ctx, raw[key], key)
+    values = {"command": command, "output": output, "palette": palette}
+    for f in fields(SceneConfig):
+        if _key(f) in keys and _key(f) in raw:
+            values[f.name] = _parse_field(ctx, f, raw[_key(f)])
     if (command == "verify-fmt" and "dst_grid" not in values
             and not isinstance(values["map"], (Identity, Affine))):
         ctx.fail("map", "dst_grid is required for non-affine maps")
-    return SceneConfig(**{_FIELD_NAMES[key]: value for key, value in values.items()})
+    return SceneConfig(**values)
 
 
 def parse_config(text, overrides=()) -> SceneConfig:

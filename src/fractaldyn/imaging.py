@@ -18,16 +18,6 @@ from .core import OrbitStatus, RasterField
 
 INVALID_RGB = (255, 0, 255)
 
-# Gradient stops (position, rgb); positions strictly increasing so escape
-# colors are monotone along the ramp in the escape index.
-_CLASSIC_STOPS = [
-    (0.0, (10, 10, 90)),
-    (0.35, (40, 120, 200)),
-    (0.65, (120, 220, 230)),
-    (1.0, (255, 255, 255)),
-]
-
-
 def _ramp(u: np.ndarray, stops) -> np.ndarray:
     """Piecewise-linear interpolation of rgb stops at u in [0, 1]."""
     pos = np.array([p for p, _ in stops])
@@ -41,9 +31,13 @@ def _ramp(u: np.ndarray, stops) -> np.ndarray:
 @dataclass(frozen=True)
 class PaletteRule:
     """Total map from orbit results to RGB: Bounded -> black, Invalid ->
-    magenta, Escaped(n) -> a color monotone in n (normalized per image)."""
+    magenta, Escaped(n) -> a color monotone in n (normalized per image).
+
+    ``stops`` are the escape ramp's gradient stops (position, rgb), with
+    positions strictly increasing from 0 to 1."""
 
     name: str
+    stops: tuple
 
     def colorize(self, field: RasterField) -> np.ndarray:
         status = field.status
@@ -52,21 +46,22 @@ class PaletteRule:
         u = (field.escape_iter.astype(float) + 1.0) / (n_max + 1.0)
 
         img = np.zeros(status.shape + (3,), dtype=np.uint8)
-        if self.name == "grayscale":
-            v = np.rint(255.0 * u).astype(np.uint8)
-            esc_rgb = np.stack([v, v, v], axis=-1)
-        elif self.name == "classic":
-            esc_rgb = _ramp(u, _CLASSIC_STOPS)
-        elif self.name == "mono":
-            esc_rgb = np.full(status.shape + (3,), 255, dtype=np.uint8)
-        else:
-            raise ValueError(f"unknown palette {self.name!r}")
-        img[escaped] = esc_rgb[escaped]
+        img[escaped] = _ramp(u, self.stops)[escaped]
         img[status == OrbitStatus.INVALID] = INVALID_RGB
         return img
 
 
-PALETTES = {name: PaletteRule(name) for name in ("grayscale", "classic", "mono")}
+_BLACK, _WHITE = (0, 0, 0), (255, 255, 255)
+PALETTES = {rule.name: rule for rule in (
+    PaletteRule("grayscale", ((0.0, _BLACK), (1.0, _WHITE))),
+    PaletteRule("classic", (
+        (0.0, (10, 10, 90)),
+        (0.35, (40, 120, 200)),
+        (0.65, (120, 220, 230)),
+        (1.0, _WHITE),
+    )),
+    PaletteRule("mono", ((0.0, _WHITE), (1.0, _WHITE))),
+)}
 
 
 def get_palette(name: str) -> PaletteRule:

@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fractaldyn.config import (ConfigError, apply_overrides, parse_config,
-                               serialize_config, validate_config)
+from fractaldyn.config import (COMMANDS, PALETTE_NAMES, ConfigError, SceneConfig,
+                               apply_overrides, parse_config, serialize_config,
+                               validate_config)
 from fractaldyn.flows import FLOW_KINDS, LimitCycle, NumericRK4
 from fractaldyn.maps import MAP_KINDS, Affine, ArccosReciprocal, QuadraticParam
 
@@ -276,3 +278,153 @@ def test_override_of_unknown_key_still_rejected():
     raw = apply_overrides(julia_doc(), ["bogus=1"])
     with pytest.raises(ConfigError, match="bogus"):
         validate_config(raw)
+
+
+@pytest.mark.parametrize("key, command, lowest, below, message", [
+    ("k_max", "discrete-traj", 0, -1, ">= 0"), ("supersample", "verify-fmt", 1, 0, ">= 1"),
+    ("min_box", "dimension", 2, 1, ">= 2"), ("max_box", "zeno", 2, 1, ">= 2"),
+    ("n", "zeno", 1, 0, ">= 1"), ("i0", "zeno", 0, -1, ">= 0"),
+    ("px_w", "zeno", 1, 0, ">= 1"), ("px_h", "zeno", 1, 0, ">= 1"),
+    ("d0", "zeno", 1e-300, 0, "> 0"), ("t1", "zeno", 1e-300, 0, "> 0"),
+])
+def test_top_level_key_bounds(key, command, lowest, below, message):
+    doc = next(d for d in all_command_docs() if d["command"] == command)
+    assert getattr(parse_config(json.dumps({**doc, key: lowest})), key) == lowest
+    with pytest.raises(ConfigError, match=rf"^line 1: {key} must be {message}$"):
+        parse_config(json.dumps({**doc, key: below}))
+
+
+COMMAND_DEFAULTS = {
+    "discrete-traj": {"supersample": 3},
+    "verify-fmt": {"supersample": 3},
+    "dimension": {"boundary": True},
+    "zeno": {"i0": 0, "px_w": 1024, "px_h": 512},
+}
+
+
+@pytest.mark.parametrize("doc", all_command_docs(),
+                         ids=[d["command"] for d in all_command_docs()])
+def test_resolved_config_holds_the_command_defaults(doc):
+    resolved = parse_config(json.dumps(doc)).to_dict()
+    defaults = COMMAND_DEFAULTS.get(doc["command"], {})
+    assert {k: resolved[k] for k in resolved.keys() - doc.keys() - {"iter", "palette"}} \
+        == defaults
+    assert all(type(resolved[k]) is type(v) for k, v in defaults.items())
+
+
+# Valid documents for every command and every map/flow kind, with numbers
+# inside their bounds.
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+pairs = st.lists(finite, min_size=2, max_size=2)
+counts = st.integers(1, 10 ** 30)
+grids = st.fixed_dictionaries({"center": pairs, "width": positive, "height": positive,
+                               "px_w": counts, "px_h": counts})
+iters = st.fixed_dictionaries({}, optional={
+    "max_iter": counts, "escape_radius": st.floats(min_value=2.0, allow_infinity=False)})
+closed_flows = {
+    "linear": st.fixed_dictionaries({"kind": st.just("linear"), "lambda": pairs}),
+    "limit_cycle": st.just({"kind": "limit_cycle"}),
+    "periodic_forced": st.fixed_dictionaries({"kind": st.just("periodic_forced"),
+                                              "a": finite}),
+}
+FLOW_SPECS = {**closed_flows, "numeric_rk4": st.fixed_dictionaries(
+    {"kind": st.just("numeric_rk4"), "base": st.one_of(*closed_flows.values())},
+    optional={"dt": positive})}
+MAP_SPECS = {
+    "identity": st.just({"kind": "identity"}),
+    "affine": st.fixed_dictionaries(
+        {"kind": st.just("affine"), "a": pairs.filter(lambda a: complex(*a) != 0)},
+        optional={"b": pairs}),
+    "arccos_reciprocal": st.just({"kind": "arccos_reciprocal"}),
+    "arcsin_root5": st.just({"kind": "arcsin_root5"}),
+    "reciprocal_sqrt": st.just({"kind": "reciprocal_sqrt"}),
+    "quadratic_param": st.fixed_dictionaries({"kind": st.just("quadratic_param"),
+                                              "a": finite, "b": pairs, "c": pairs}),
+    "flow": st.fixed_dictionaries({"kind": st.just("flow"),
+                                   "flow": st.one_of(*FLOW_SPECS.values()), "t": finite}),
+}
+maps = st.one_of(*MAP_SPECS.values())
+flows = st.one_of(*FLOW_SPECS.values())
+
+
+def command_docs(command, required, **optional):
+    return st.fixed_dictionaries(
+        {"command": st.just(command), "output": st.text(min_size=1), **required},
+        optional={"palette": st.sampled_from(PALETTE_NAMES), **optional})
+
+
+big = st.integers(0, 10 ** 30)
+boxes = st.integers(2, 10 ** 30)
+COMMAND_DOCS = {
+    "julia": command_docs("julia", {"grid": grids, "c": pairs}, iter=iters),
+    "mandelbrot": command_docs("mandelbrot", {"grid": grids}, iter=iters),
+    "fmi-julia": command_docs("fmi-julia", {"grid": grids, "c": pairs, "map": maps},
+                              iter=iters),
+    "fmi-mandelbrot": command_docs("fmi-mandelbrot", {"grid": grids, "map": maps},
+                                   iter=iters),
+    "discrete-traj": command_docs(
+        "discrete-traj", {"grid": grids, "c": pairs, "map": maps, "k_max": big},
+        iter=iters, supersample=counts),
+    "flow-traj": command_docs(
+        "flow-traj",
+        {"grid": grids, "c": pairs, "flow": flows, "t_list": st.lists(finite, min_size=1)},
+        iter=iters),
+    "dimension": command_docs("dimension", {"grid": grids, "c": pairs}, iter=iters,
+                              boundary=st.booleans(), min_box=boxes, max_box=boxes),
+    # dst_grid may be left out only for identity and affine maps
+    "verify-fmt": command_docs(
+        "verify-fmt", {"grid": grids, "c": pairs, "map": maps, "dst_grid": grids},
+        iter=iters, supersample=counts)
+    | command_docs(
+        "verify-fmt",
+        {"grid": grids, "c": pairs, "map": MAP_SPECS["identity"] | MAP_SPECS["affine"]},
+        iter=iters, supersample=counts),
+    "zeno": command_docs("zeno", {"d0": positive, "t1": positive, "n": counts},
+                         i0=big, px_w=counts, px_h=counts, min_box=boxes, max_box=boxes),
+}
+SCENE_DOCS = {
+    **COMMAND_DOCS,
+    **{kind: spec.map(lambda s, k=kind: kind_doc(k, s))
+       for kind, spec in {**MAP_SPECS, **FLOW_SPECS}.items()},
+}
+assert set(COMMAND_DOCS) == set(COMMANDS) and set(SCENE_DOCS) - set(COMMANDS) == set(KINDS)
+
+
+@pytest.mark.parametrize("name", list(SCENE_DOCS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_serialize_round_trip_property(name, data):
+    cfg = parse_config(json.dumps(data.draw(SCENE_DOCS[name])))
+    text = serialize_config(cfg)
+    assert parse_config(text) == cfg
+    assert serialize_config(parse_config(text)) == text
+
+
+# Override values: any JSON (NaN and the infinities included), ints of over
+# 400 digits, and text that is not JSON at all.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.integers(10 ** 400, 10 ** 450) | st.integers(-10 ** 450, -10 ** 400)
+    | st.sampled_from(COMMANDS + PALETTE_NAMES + tuple(KINDS)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8)
+override_values = json_values.map(json.dumps) | st.text(max_size=12)
+KEYS = ["command", "output", "palette", "grid", "dst_grid", "iter", "map", "flow", "c",
+        "t_list", "k_max", "supersample", "boundary", "min_box", "d0", "n", "i0", "px_w"]
+SEGMENTS = KEYS + ["kind", "base", "center", "max_iter", "0", "1", "-1", "7", "x", ""]
+override_paths = st.sampled_from(KEYS) | st.lists(
+    st.sampled_from(SEGMENTS), min_size=2, max_size=8).map(".".join)
+overrides = st.lists(st.tuples(override_paths, override_values).map("=".join),
+                     min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.one_of(*SCENE_DOCS.values()), items=overrides)
+def test_overrides_give_a_config_or_a_config_error(doc, items):
+    try:
+        cfg = parse_config(json.dumps(doc, indent=2), items)
+    except ConfigError:
+        return
+    assert isinstance(cfg, SceneConfig)

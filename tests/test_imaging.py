@@ -49,6 +49,17 @@ def test_palette_total_and_monotone(name):
         assert np.all(np.diff(vals[order]) >= 0)
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 2, 7, 254, 255, 256, 1000, 4095, 100_000])
+def test_grayscale_and_mono_ramps_are_pinned(n_max):
+    n = np.unique(np.linspace(0, n_max, 1000).round().astype(np.int64))
+    f = RasterField.filled(GridSpec(0j, 2.0, 1.0, n.size, 1), OrbitStatus.ESCAPED)
+    f.escape_iter[0] = n
+    u = (n + 1.0) / (n_max + 1.0)
+    gray = np.rint(255.0 * u).astype(np.uint8)
+    assert get_palette("grayscale").colorize(f).tobytes() == np.repeat(gray, 3).tobytes()
+    assert np.all(get_palette("mono").colorize(f) == 255)
+
+
 def test_unknown_palette_rejected():
     with pytest.raises(ValueError):
         get_palette("sepia")
