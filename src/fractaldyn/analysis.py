@@ -130,7 +130,7 @@ def compare_masks(a: RasterField, b: RasterField) -> MaskComparison:
     return MaskComparison(float(jaccard), float(max(d_ab, d_ba)))
 
 
-def zeno_states(d0: float, t1: float, n: int, i0: int = 0) -> ZenoDiagram:
+def zeno_states(d0: float, t1: float, n: int, i0: int) -> ZenoDiagram:
     """Moments and gap heights of the constant-speed pursuit: starting gap
     d0 halves at each observation, t_i = t1*(2 - 2^(1-i)), d_i = d0*2^(-i),
     for i = i0 .. i0+n-1. The times accumulate at 2*t1."""
@@ -146,18 +146,16 @@ def zeno_states(d0: float, t1: float, n: int, i0: int = 0) -> ZenoDiagram:
     return ZenoDiagram(times, heights, i0)
 
 
-def rasterize_zeno(diagram: ZenoDiagram, px_w: int = 1024, px_h: int = 512,
-                   t_max: float | None = None) -> RasterField:
+def rasterize_zeno(diagram: ZenoDiagram, px_w: int, px_h: int) -> RasterField:
     """Render the diagram's vertical lines, one pixel wide, as a Bounded
     mask: the x-window spans [t_{i0}, accumulation point], the y-window
     [0, first height]."""
     times = diagram.times
     heights = diagram.heights
-    if t_max is None:
-        if len(times) < 2:
-            raise ValueError("need at least 2 lines to infer the window; pass t_max")
-        # The accumulation point equals t_i + 2*(t_{i+1} - t_i) for every i.
-        t_max = 2.0 * times[1] - times[0]
+    if len(times) < 2:
+        raise ValueError("need at least 2 lines to infer the window")
+    # The accumulation point equals t_i + 2*(t_{i+1} - t_i) for every i.
+    t_max = 2.0 * times[1] - times[0]
     t0 = times[0]
     h = heights[0]
     grid = GridSpec(complex((t0 + t_max) / 2, h / 2), t_max - t0, h, px_w, px_h)

@@ -31,13 +31,14 @@ def require_finite(z: complex, name: str = "value") -> complex:
 
 def evaluate(fn, z, what: str):
     """fn(z) for an elementwise map fn of complex128 arrays that returns
-    NaN where it is undefined. An ndarray keeps those NaN entries; a
-    scalar must be finite, goes through a one-element array and raises
-    DomainError there."""
+    NaN where it is undefined, run with floating-point warnings off. An
+    ndarray keeps those NaN entries; a scalar must be finite, goes through
+    a one-element array and raises DomainError there."""
     if isinstance(z, np.ndarray):
-        return fn(np.asarray(z, dtype=np.complex128))
+        with np.errstate(all="ignore"):
+            return fn(np.asarray(z, dtype=np.complex128))
     z = require_finite(z, "z")
-    w = complex(fn(np.asarray([z], dtype=np.complex128))[0])
+    w = complex(evaluate(fn, np.array([z]), what)[0])
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
         raise DomainError(f"{what} undefined at {z}")
     return w

@@ -89,12 +89,11 @@ class LimitCycle(FlowSpec):
     def _apply_array(self, z, t):
         rho0 = np.abs(z)
         phi0 = np.angle(z)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            radicand = 4.0 / (rho0 * rho0) + math.exp(8.0 * t) - 1.0
-            # rho0 = 0 gives radicand = inf and rho = 0: the equilibrium.
-            rho = np.where(radicand > 0.0,
-                           2.0 * math.exp(4.0 * t) / np.sqrt(np.abs(radicand)),
-                           np.nan)
+        radicand = 4.0 / (rho0 * rho0) + math.exp(8.0 * t) - 1.0
+        # rho0 = 0 gives radicand = inf and rho = 0: the equilibrium.
+        rho = np.where(radicand > 0.0,
+                       2.0 * math.exp(4.0 * t) / np.sqrt(np.abs(radicand)),
+                       np.nan)
         return rho * np.exp(1j * (phi0 + t))
 
 
@@ -143,14 +142,13 @@ class NumericRK4(FlowSpec):
         h = (t1 - t0) / n
         g = self.base.rhs
         t = t0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(n):
-                k1 = g(t, z)
-                k2 = g(t + h / 2, z + (h / 2) * k1)
-                k3 = g(t + h / 2, z + (h / 2) * k2)
-                k4 = g(t + h, z + h * k3)
-                z = z + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-                t += h
+        for _ in range(n):
+            k1 = g(t, z)
+            k2 = g(t + h / 2, z + (h / 2) * k1)
+            k3 = g(t + h / 2, z + (h / 2) * k2)
+            k4 = g(t + h, z + h * k3)
+            z = z + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
         return z
 
     def _apply_array(self, z, t):

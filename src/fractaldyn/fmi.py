@@ -11,9 +11,10 @@ orbit diverges.
 
 forward_image is the independent route to the same set: it pushes every
 Bounded source pixel through f with stratified supersampling and splats
-onto nearest destination pixels. When f stretches distances by at most
-l2, supersampling at source pitch / s keeps the splat spacing below the
-destination pitch whenever l2 * src_pitch / s <= dst_pitch.
+onto nearest destination pixels, one sub-pixel offset at a time, so it
+holds one sample per Bounded cell at a time. When f stretches distances
+by at most l2, supersampling at source pitch / s keeps the splat spacing
+below the destination pitch whenever l2 * src_pitch / s <= dst_pitch.
 """
 
 from __future__ import annotations
@@ -57,28 +58,22 @@ def forward_image(src_field: RasterField, m: MapSpec, dst_grid: GridSpec,
     Every Bounded source pixel contributes supersample^2 stratified sample
     points (a regular subgrid of its cell); each sample that stays in f's
     domain marks the nearest destination pixel Bounded. Unmarked cells are
-    Escaped(0). Marking is idempotent, so overlapping splats are harmless.
+    Escaped(0). Marking is idempotent, so overlapping splats are harmless
+    and each sub-pixel offset is splatted in a pass of its own.
     """
     if supersample < 1:
         raise ValueError("supersample must be >= 1")
     out = RasterField.filled(dst_grid, OrbitStatus.ESCAPED)
 
-    bounded = src_field.bounded_mask()
-    if not bounded.any():
-        return out
-    jj, ii = np.nonzero(bounded)
     src = src_field.grid
-    centers = src.points()[jj, ii]
+    centers = src.points()[src_field.bounded_mask()]
 
-    s = supersample
-    off = (np.arange(s) + 0.5) / s - 0.5
-    off_x, off_y = np.meshgrid(off * src.dx, off * src.dy)
-    offsets = (off_x + 1j * off_y).reshape(-1)
-
-    pts = (centers[:, np.newaxis] + offsets[np.newaxis, :]).reshape(-1)
-    img = eval_forward(m, pts)
-    di, dj, inside = dst_grid.pixel_of_array(img)
-    out.status[dj[inside], di[inside]] = OrbitStatus.BOUNDED
+    off = (np.arange(supersample) + 0.5) / supersample - 0.5
+    for oy in off * src.dy:
+        for ox in off * src.dx:
+            img = eval_forward(m, centers + complex(ox, oy))
+            di, dj, inside = dst_grid.pixel_of_array(img)
+            out.status[dj[inside], di[inside]] = OrbitStatus.BOUNDED
     return out
 
 

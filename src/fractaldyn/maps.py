@@ -33,6 +33,7 @@ from .core import GridSpec, evaluate, require_finite
 from .flows import FlowSpec, flow_apply, flow_inverse
 
 POLE_EXCLUSION = 1e-9
+MIN_SEPARATION = 1e-12
 
 
 class InsufficientSamples(RuntimeError):
@@ -69,10 +70,14 @@ def eval_inverse(m: MapSpec, w):
 
 def _principal_root(w: np.ndarray, n: int) -> np.ndarray:
     zero = w == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.exp(np.log(np.where(zero, 1.0, w)) / n)
+    out = np.exp(np.log(np.where(zero, 1.0, w)) / n)
     out[zero] = 0.0
     return out
+
+
+def _reciprocal(x: np.ndarray) -> np.ndarray:
+    """1/x, or NaN where x lies within POLE_EXCLUSION of the pole at 0."""
+    return np.where(np.abs(x) <= POLE_EXCLUSION, np.nan, 1.0 / x)
 
 
 @dataclass(frozen=True)
@@ -125,15 +130,10 @@ class ArccosReciprocal(MapSpec):
     kind: str = field(default="arccos_reciprocal", init=False, repr=False)
 
     def _forward_array(self, z):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = np.arccos(1.0 / z - 1.0)
-        return np.where(np.abs(z) <= POLE_EXCLUSION, np.nan + 0j, out)
+        return np.arccos(_reciprocal(z) - 1.0)
 
     def _inverse_array(self, w):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            den = 1.0 + np.cos(w)
-            out = 1.0 / den
-        return np.where(np.abs(den) <= POLE_EXCLUSION, np.nan + 0j, out)
+        return _reciprocal(1.0 + np.cos(w))
 
 
 @dataclass(frozen=True)
@@ -143,12 +143,10 @@ class ArcsinRoot5(MapSpec):
     kind: str = field(default="arcsin_root5", init=False, repr=False)
 
     def _forward_array(self, z):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _principal_root(np.arcsin(z), 5)
+        return _principal_root(np.arcsin(z), 5)
 
     def _inverse_array(self, w):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.sin(w ** 5)
+        return np.sin(w ** 5)
 
 
 @dataclass(frozen=True)
@@ -158,15 +156,10 @@ class ReciprocalSqrt(MapSpec):
     kind: str = field(default="reciprocal_sqrt", init=False, repr=False)
 
     def _forward_array(self, z):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = np.sqrt(1.0 / z - 1.0)
-        return np.where(np.abs(z) <= POLE_EXCLUSION, np.nan + 0j, out)
+        return np.sqrt(_reciprocal(z) - 1.0)
 
     def _inverse_array(self, w):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            den = w * w + 1.0
-            out = 1.0 / den
-        return np.where(np.abs(den) <= POLE_EXCLUSION, np.nan + 0j, out)
+        return _reciprocal(w * w + 1.0)
 
 
 @dataclass(frozen=True)
@@ -190,12 +183,10 @@ class QuadraticParam(MapSpec):
         return self.a * self.c + self.b
 
     def _forward_array(self, z):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return z * z + self.shift
+        return z * z + self.shift
 
     def _inverse_array(self, w):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.sqrt(w - self.shift)
+        return np.sqrt(w - self.shift)
 
 
 @dataclass(frozen=True)
@@ -228,12 +219,11 @@ MAP_KINDS = {
 }
 
 
-def estimate_bilipschitz(m: MapSpec, region: GridSpec, n_pairs: int,
-                         min_separation: float = 1e-12) -> tuple[float, float]:
+def estimate_bilipschitz(m: MapSpec, region: GridSpec, n_pairs: int) -> tuple[float, float]:
     """Empirical stretch bounds (l1, l2) of f over a window.
 
     Draws n_pairs quasi-random (Halton) pairs (u, v) in the window, discards pairs where
-    either endpoint leaves f's domain or |u - v| <= min_separation, and
+    either endpoint leaves f's domain or |u - v| <= MIN_SEPARATION, and
     returns the min and max of |f(u) - f(v)| / |u - v|. Fewer than 10
     surviving pairs raises InsufficientSamples.
     """
@@ -250,7 +240,7 @@ def estimate_bilipschitz(m: MapSpec, region: GridSpec, n_pairs: int,
     fv = eval_forward(m, v)
     sep = np.abs(u - v)
     with np.errstate(invalid="ignore"):
-        good = np.isfinite(fu) & np.isfinite(fv) & (sep > min_separation)
+        good = np.isfinite(fu) & np.isfinite(fv) & (sep > MIN_SEPARATION)
     if int(good.sum()) < 10:
         raise InsufficientSamples(
             f"only {int(good.sum())} valid pairs of {n_pairs} for {m.kind}")

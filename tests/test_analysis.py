@@ -176,11 +176,11 @@ def test_zeno_shifted_state_is_scaled_tail():
 
 def test_zeno_validation():
     with pytest.raises(ValueError):
-        zeno_states(0.0, 1.0, 3)
+        zeno_states(0.0, 1.0, 3, 0)
     with pytest.raises(ValueError):
-        zeno_states(1.0, -1.0, 3)
+        zeno_states(1.0, -1.0, 3, 0)
     with pytest.raises(ValueError):
-        zeno_states(1.0, 1.0, 0)
+        zeno_states(1.0, 1.0, 0, 0)
     with pytest.raises(ValueError):
         zeno_states(1.0, 1.0, 3, -1)
 
@@ -191,11 +191,10 @@ def test_zeno_raster_dimension_is_one():
     assert est.slope == pytest.approx(1.0, abs=0.15)
 
 
-def test_zeno_raster_needs_window_hint_for_single_line():
+def test_zeno_raster_rejects_a_single_line():
+    # the window's right edge is inferred from the first two lines
     with pytest.raises(ValueError):
         rasterize_zeno(zeno_states(1.0, 1.0, 1, 0), 64, 64)
-    field = rasterize_zeno(zeno_states(1.0, 1.0, 1, 0), 64, 64, t_max=2.0)
-    assert field.bounded_count() > 0
 
 
 def test_mandelbrot_boundary_slope_report():

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fractaldyn.analysis import compare_masks
-from fractaldyn.core import GridSpec, OrbitStatus
+from fractaldyn.core import GridSpec, OrbitStatus, RasterField
 from fractaldyn.fji import IterParams, render_julia, render_mandelbrot
+from fractaldyn.flows import LimitCycle, NumericRK4
 from fractaldyn.fmi import discrete_trajectory, fmi_julia, fmi_mandelbrot, forward_image
-from fractaldyn.maps import Affine, ArccosReciprocal, Identity, QuadraticParam
+from fractaldyn.maps import (Affine, ArccosReciprocal, ArcsinRoot5, FlowMap, Identity,
+                             QuadraticParam, ReciprocalSqrt, eval_forward)
 
 from conftest import analytic_disk
 
@@ -91,6 +95,84 @@ def test_forward_image_skips_domain_error_samples():
     k0 = render_julia(grid, 0j, P)
     out = forward_image(k0, ArccosReciprocal(), GridSpec(1.5 + 0j, 3.0, 3.0, 64, 64))
     assert out.bounded_count() > 0
+
+
+def splat_reference(src_field, m, dst_grid, supersample):
+    """forward_image written as one array of all N * supersample^2 samples."""
+    out = RasterField.filled(dst_grid, OrbitStatus.ESCAPED)
+    bounded = src_field.bounded_mask()
+    if not bounded.any():
+        return out
+    jj, ii = np.nonzero(bounded)
+    src = src_field.grid
+    centers = src.points()[jj, ii]
+    s = supersample
+    off = (np.arange(s) + 0.5) / s - 0.5
+    off_x, off_y = np.meshgrid(off * src.dx, off * src.dy)
+    offsets = (off_x + 1j * off_y).reshape(-1)
+    pts = (centers[:, np.newaxis] + offsets[np.newaxis, :]).reshape(-1)
+    di, dj, inside = dst_grid.pixel_of_array(eval_forward(m, pts))
+    out.status[dj[inside], di[inside]] = OrbitStatus.BOUNDED
+    return out
+
+
+def source_masks():
+    """(name, source field) pairs. The grids have an odd pixel count, so
+    the origin-centered one has a sample exactly at the arccos pole."""
+    grid = GridSpec(0.6 + 0.3j, 1.2, 0.9, 25, 25)
+    shape = (grid.px_h, grid.px_w)
+    single = np.zeros(shape, dtype=bool)
+    single[11, 7] = True
+    edge = np.zeros(shape, dtype=bool)
+    edge[[0, -1], :] = edge[:, [0, -1]] = True
+    masks = {"empty": np.zeros(shape, dtype=bool), "single": single, "edge": edge,
+             "random30": np.random.default_rng(0).random(shape) < 0.3}
+    for name, mask in masks.items():
+        field = RasterField.filled(grid, OrbitStatus.ESCAPED)
+        field.status[mask] = OrbitStatus.BOUNDED
+        yield name, field
+    yield "pole", RasterField.filled(GridSpec(0j, 1.2, 0.9, 25, 25), OrbitStatus.BOUNDED)
+
+
+def window_over_image(m, grid):
+    """A 32x32 destination window over the middle 98% of the finite images
+    of the grid's pixel centers, so some samples land outside it."""
+    img = eval_forward(m, grid.points().reshape(-1))
+    img = img[np.isfinite(img)]
+    re0, re1 = np.percentile(img.real, [1, 99])
+    im0, im1 = np.percentile(img.imag, [1, 99])
+    return GridSpec(complex(re0 + re1, im0 + im1) / 2, max(re1 - re0, 1e-3),
+                    max(im1 - im0, 1e-3), 32, 32)
+
+
+@pytest.mark.parametrize("m", [
+    Identity(), Affine(2, 1), Affine(-0.3 + 1.2j, 0.5j), ArccosReciprocal(), ArcsinRoot5(),
+    ReciprocalSqrt(), QuadraticParam(0.6, 0.02 - 0.02j, -0.175 - 0.655j),
+    FlowMap(LimitCycle(), 0.5), FlowMap(NumericRK4(LimitCycle(), 1e-2), 0.5),
+], ids=lambda m: m.kind if m.kind != "flow" else f"flow-{m.flow.kind}")
+def test_forward_image_equals_single_array_reference(m):
+    for name, src in source_masks():
+        dst = window_over_image(m, src.grid)
+        for s in (1, 2, 3, 8):
+            out = forward_image(src, m, dst, supersample=s)
+            assert fields_equal(out, splat_reference(src, m, dst, s)), (name, s)
+
+
+def test_forward_image_memory_does_not_grow_with_supersample():
+    # a fully Bounded source: s^2 samples per cell held at once would make
+    # the s = 8 peak some 40 times the s = 1 peak
+    src = RasterField.filled(GridSpec(0.5 + 0.5j, 1.0, 1.0, 256, 256), OrbitStatus.BOUNDED)
+    dst = GridSpec(1.5 + 0j, 3.0, 3.0, 256, 256)
+
+    def peak(s):
+        tracemalloc.start()
+        try:
+            forward_image(src, ArccosReciprocal(), dst, supersample=s)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8) <= 2 * peak(1)
 
 
 def test_fmt_equality_affine_on_aligned_image_grid(basilica_512):

@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import qmc
 
 from fractaldyn.core import DomainError, GridSpec
-from fractaldyn.flows import Linear
+from fractaldyn.flows import (LimitCycle, Linear, NumericRK4, PeriodicForced,
+                              flow_apply, flow_inverse)
 from fractaldyn.maps import (MAP_KINDS, Affine, ArccosReciprocal, ArcsinRoot5,
                              FlowMap, Identity, InsufficientSamples,
-                             QuadraticParam, ReciprocalSqrt,
+                             QuadraticParam, ReciprocalSqrt, _reciprocal,
                              estimate_bilipschitz, eval_forward, eval_inverse)
 
 
@@ -69,6 +71,50 @@ def test_array_path_marks_nan_instead_of_raising():
     z = np.array([1 + 0j, 0j, 2 + 1j])
     out = eval_forward(ArccosReciprocal(), z)
     assert np.isnan(out[1]) and np.isfinite(out[0]) and np.isfinite(out[2])
+
+
+# Points where each array call is undefined, by (kind, function); flows
+# run to t = 1, where the limit cycle's backward solution from |z| = 3 has
+# already blown up.
+POLES = {
+    ("arccos_reciprocal", "eval_forward"): [0, 1e-10],
+    ("arccos_reciprocal", "eval_inverse"): [math.pi, -math.pi],
+    ("reciprocal_sqrt", "eval_forward"): [0, 1e-10j],
+    ("reciprocal_sqrt", "eval_inverse"): [1j, -1j],
+    ("flow", "eval_inverse"): [3],
+    ("limit_cycle", "flow_inverse"): [3],
+    ("numeric_rk4", "flow_inverse"): [3],
+}
+
+
+def array_calls():
+    for m in (Identity(), Affine(2, 1), ArccosReciprocal(), ArcsinRoot5(), ReciprocalSqrt(),
+              QuadraticParam(0.6, 0.02 - 0.02j, -0.175 - 0.655j), FlowMap(LimitCycle(), 1.0)):
+        for fn in (eval_forward, eval_inverse):
+            yield pytest.param(lambda z, m=m, fn=fn: fn(m, z), POLES.get((m.kind, fn.__name__), []),
+                               id=f"{m.kind}-{fn.__name__}")
+    for flow in (Linear(-1), LimitCycle(), PeriodicForced(0.01), NumericRK4(LimitCycle(), 1e-2)):
+        for fn in (flow_apply, flow_inverse):
+            yield pytest.param(lambda z, flow=flow, fn=fn: fn(flow, z, 1.0),
+                               POLES.get((flow.kind, fn.__name__), []),
+                               id=f"{flow.kind}-{fn.__name__}")
+
+
+@pytest.mark.parametrize("call,poles", list(array_calls()))
+def test_array_evaluation_never_warns(call, poles):
+    nans = [complex(math.nan, 0), complex(0, math.nan)]
+    z = np.array(poles + [0, 1e300, 1e300j, -1e300 - 1e300j] + nans, dtype=np.complex128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = call(z)
+    assert not np.isfinite(out[:len(poles)]).any()
+    assert not np.isfinite(out[-len(nans):]).any()
+
+
+def test_reciprocal_pole_exclusion_edge():
+    out = _reciprocal(np.array([1e-9, -1e-9j, 2e-9, -2e-9j]))
+    assert np.isnan(out[:2]).all()
+    assert np.isfinite(out[2:]).all()
 
 
 @pytest.mark.parametrize("m,tol", [(Identity(), 1e-9), (Affine(2, 1), 1e-9),
