@@ -4,7 +4,9 @@ Images are binary P6 pixmaps (maxval 255, row-major, top-left origin):
 byte-identical output for identical fields on any platform. Escape
 colors are normalized per image by the largest observed escape index, so
 every plate uses its full ramp; Bounded cells are black and Invalid
-cells a reserved magenta that no escape ramp produces.
+cells a reserved magenta that no escape ramp produces. Each frame is one
+lookup into a table with a row per escape index, so the ramp runs once
+per index, not per cell, over at most max_iter rows (see ``colorize``).
 """
 
 from __future__ import annotations
@@ -18,15 +20,6 @@ from .core import OrbitStatus, RasterField
 
 INVALID_RGB = (255, 0, 255)
 
-def _ramp(u: np.ndarray, stops) -> np.ndarray:
-    """Piecewise-linear interpolation of rgb stops at u in [0, 1]."""
-    pos = np.array([p for p, _ in stops])
-    rgb = np.array([c for _, c in stops], dtype=float)
-    out = np.empty(u.shape + (3,), dtype=np.uint8)
-    for ch in range(3):
-        out[..., ch] = np.rint(np.interp(u, pos, rgb[:, ch])).astype(np.uint8)
-    return out
-
 
 @dataclass(frozen=True)
 class PaletteRule:
@@ -34,21 +27,36 @@ class PaletteRule:
     magenta, Escaped(n) -> a color monotone in n (normalized per image).
 
     ``stops`` are the escape ramp's gradient stops (position, rgb), with
-    positions strictly increasing from 0 to 1."""
+    positions strictly increasing from 0.0 to 1.0 and rgb integers in
+    0..255; other stops raise ``ValueError``."""
 
     name: str
     stops: tuple
 
-    def colorize(self, field: RasterField) -> np.ndarray:
-        status = field.status
-        escaped = status == OrbitStatus.ESCAPED
-        n_max = int(field.escape_iter[escaped].max()) if escaped.any() else 0
-        u = (field.escape_iter.astype(float) + 1.0) / (n_max + 1.0)
+    def __post_init__(self):
+        pos = [p for p, _ in self.stops]
+        if pos[:1] != [0.0] or pos[-1] != 1.0 or not all(a < b for a, b in zip(pos, pos[1:])):
+            raise ValueError(f"palette {self.name!r}: positions must rise strictly from 0 to 1")
+        if not all(len(rgb) == 3 and all(isinstance(v, (int, np.integer)) and 0 <= v <= 255
+                                         for v in rgb) for _, rgb in self.stops):
+            raise ValueError(f"palette {self.name!r}: rgb must be integers in 0..255")
 
-        img = np.zeros(status.shape + (3,), dtype=np.uint8)
-        img[escaped] = _ramp(u, self.stops)[escaped]
-        img[status == OrbitStatus.INVALID] = INVALID_RGB
-        return img
+    def colorize(self, field: RasterField) -> np.ndarray:
+        """RGB image (px_h, px_w, 3) as one ``take`` from a table: the ramp at
+        u = (k + 1) / (hi + 1) for each escape index k in [lo, hi], the range
+        over Escaped cells, then a black (Bounded) and a magenta (Invalid) row.
+        Fields the package makes have escape indices in [0, max_iter), so the
+        table has at most max_iter ramp rows, no more than the kernel ran."""
+        escaped = field.status == OrbitStatus.ESCAPED
+        k = field.escape_iter[escaped]
+        lo, hi = (int(k.min()), int(k.max())) if k.size else (1, 0)  # empty ramp, n_max 0
+        u = (np.arange(lo, hi + 1).astype(float) + 1.0) / (hi + 1.0)
+        pos, rgb = zip(*self.stops)
+        ramp = np.stack([np.interp(u, pos, channel) for channel in zip(*rgb)], axis=-1)
+        table = np.rint(np.concatenate([ramp, [(0, 0, 0), INVALID_RGB]])).astype(np.uint8)
+        code = np.where(escaped, field.escape_iter - lo,
+                        np.where(field.status == OrbitStatus.INVALID, u.size + 1, u.size))
+        return table.take(code, axis=0)
 
 
 _BLACK, _WHITE = (0, 0, 0), (255, 255, 255)
@@ -81,23 +89,15 @@ def write_image(field: RasterField, palette: PaletteRule, path) -> None:
 
 
 def _jsonable(value):
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    """``json.dump`` fallback: complex -> [re, im], numpy arrays and scalars
+    -> Python lists and numbers; json encodes dicts, lists and tuples."""
+    return [value.real, value.imag] if isinstance(value, complex) else value.tolist()
 
 
 def write_metadata(config_dict: dict, stats: dict, path) -> None:
     """Write the run's sidecar: the fully resolved config plus run
     statistics (wall time, bounded-cell counts, any metrics computed)."""
-    doc = {"config": _jsonable(config_dict), "stats": _jsonable(stats)}
+    doc = {"config": config_dict, "stats": stats}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, default=_jsonable)
         fh.write("\n")
