@@ -42,13 +42,15 @@ def _write_manifest(cfg: SceneConfig, entries: list[dict]) -> dict:
 
 
 def _box_dimension(cfg: SceneConfig, mask) -> dict:
-    """Box-counting fit over the mask's Bounded cells, as sidecar stats.
-    max_box defaults to a quarter of the shorter raster side."""
+    """Box-counting fit over the mask's Bounded cells, as sidecar stats,
+    with the box range it was fitted over. min_box defaults to 2, max_box
+    to a quarter of the shorter raster side."""
     min_box = cfg.min_box if cfg.min_box is not None else 2
     max_box = (cfg.max_box if cfg.max_box is not None
                else min(mask.grid.px_w, mask.grid.px_h) // 4)
     est = analysis.box_counting_dimension(mask, min_box, max_box)
     return {"slope": est.slope, "r_squared": est.r_squared,
+            "min_box": min_box, "max_box": max_box,
             "scales_used": list(est.scales_used), "counts": list(est.counts)}
 
 

@@ -13,7 +13,10 @@ exactly to an earlier floating-point value (periodicity checking, after
 Brent's cycle detection). Such an orbit cycles through values that all
 passed the escape test, so the cell is Bounded, and its last magnitude
 is read off the cycle: the output is bit-identical to running every
-cell for the full budget, only faster inside the set.
+cell for the full budget, only faster inside the set. It walks the cells
+in fixed tiles, so its working memory is a tile's, not the frame's, and a
+single Julia parameter stays a scalar; neither changes any cell's
+arithmetic, so neither changes the output.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .core import GridSpec, OrbitResult, OrbitStatus, RasterField, require_finit
 DEFAULT_MAX_ITER = 500
 DEFAULT_ESCAPE_RADIUS = 2.0
 _CYCLE_CHECK_EVERY = 8  # iterations between periodicity checks
+_TILE_CELLS = 32768  # cells per unit of kernel work: a tile's temporaries fit a core's L2
 
 
 @dataclass(frozen=True)
@@ -63,11 +67,18 @@ def classify_orbit(z0: complex, c: complex, params: IterParams = IterParams()) -
 def classify_grid(z0, c, params: IterParams, threads: int = 1):
     """Classify seeds z0 with parameters c, broadcast together; returns
     (status, iters, mags) in that shape. Non-finite seeds or parameters
-    mark the cell Invalid. The cells are split into contiguous bands, one
-    per worker thread, at most one per CPU in the process's affinity mask
-    (os.cpu_count() where the OS keeps none); a single band runs in the
-    caller's thread. Each cell's arithmetic is independent of its band, so
-    the output is identical for any thread count.
+    mark the cell Invalid.
+
+    The flat cells are walked in contiguous tiles of _TILE_CELLS, each run
+    to completion before the next, so every temporary of the loop stays in
+    a core's cache and the working memory is a tile's, not the frame's.
+    One worker runs the tiles in the caller's thread; more take them from
+    a thread pool, at most one per CPU in the process's affinity mask
+    (os.cpu_count() where the OS keeps none). A 0-d c stays a scalar: only
+    z0 is broadcast, and each step adds the one c. Each cell's arithmetic
+    (the same out-of-place z*z + c, escape test and cycle checks) depends
+    neither on its tile nor on its thread, so the output is identical for
+    any tile size and thread count.
 
     Periodicity checking (Brent's cycle detection): each active cell's z
     is saved at iterations 8, 16, 32, ... and, every 8 iterations after
@@ -79,27 +90,32 @@ def classify_grid(z0, c, params: IterParams, threads: int = 1):
     the iterations since the save; they land on the value the full budget
     ends on, so its last magnitude, and the whole output, equal a run
     without the check bit for bit."""
-    z0, c = np.broadcast_arrays(np.asarray(z0, dtype=np.complex128),
-                                np.asarray(c, dtype=np.complex128))
-    shape = z0.shape
-    z0 = z0.reshape(-1)
-    c = c.reshape(-1)
+    z0, c = (np.asarray(a, dtype=np.complex128) for a in (z0, c))
+    shape = np.broadcast_shapes(z0.shape, c.shape)
+    z0 = np.broadcast_to(z0, shape).reshape(-1)
+    c = np.broadcast_to(c, shape).reshape(-1) if c.ndim else c[()]  # a 0-d c stays a scalar
     n_cells = z0.size
     status = np.full(n_cells, OrbitStatus.BOUNDED, dtype=np.uint8)
     iters = np.zeros(n_cells, dtype=np.int32)
     mags = np.zeros(n_cells, dtype=np.float64)
-    saved = np.empty(n_cells, dtype=np.complex128)
-    status[~(np.isfinite(z0) & np.isfinite(c))] = OrbitStatus.INVALID
     # capped so that ~(m2 <= r2) still reads an infinite m2 as an escape
     r2 = min(params.escape_radius * params.escape_radius, sys.float_info.max)
 
-    def run(lo, hi):
-        active = lo + np.flatnonzero(status[lo:hi] != OrbitStatus.INVALID)
-        z = z0[active]
-        cc = c[active]
+    def run(lo):
+        tile = slice(lo, lo + _TILE_CELLS)
+        status_t, iters_t, mags_t = status[tile], iters[tile], mags[tile]
+        c_t = c[tile] if c.ndim else c
+        finite = np.isfinite(z0[tile]) & np.isfinite(c_t)
+        status_t[~finite] = OrbitStatus.INVALID
+        active = np.flatnonzero(finite)
+        saved = np.empty(finite.size, dtype=np.complex128)
+        z = z0[tile][active]
+        cc = c_t[active] if c.ndim else c
         saved_n = 0
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(params.max_iter):
+                if active.size == 0:
+                    break
                 m2 = z.real * z.real + z.imag * z.imag
                 esc = ~(m2 <= r2)  # NaN and inf escape too
                 done = esc
@@ -110,24 +126,23 @@ def classify_grid(z0, c, params: IterParams, threads: int = 1):
                         steps = (params.max_iter - n) % (n - saved_n)
                         m2c = m2[cyc]
                         if steps:
-                            zc, cyc_c = z[cyc], cc[cyc]
+                            zc, cyc_c = z[cyc], cc[cyc] if c.ndim else c
                             for _ in range(steps):
                                 zc = zc * zc + cyc_c
                             m2c = zc.real * zc.real + zc.imag * zc.imag
-                        mags[active[cyc]] = np.sqrt(m2c)
+                        mags_t[active[cyc]] = np.sqrt(m2c)
                         done = esc | cyc
                 if done.any():
                     hit = active[esc]
-                    status[hit] = OrbitStatus.ESCAPED
-                    iters[hit] = n
+                    status_t[hit] = OrbitStatus.ESCAPED
+                    iters_t[hit] = n
                     ms = np.sqrt(m2[esc])
-                    mags[hit] = np.where(np.isnan(ms), np.inf, ms)
+                    mags_t[hit] = np.where(np.isnan(ms), np.inf, ms)
                     keep = ~done
                     active = active[keep]
                     z = z[keep]
-                    cc = cc[keep]
-                    if active.size == 0:
-                        break
+                    if c.ndim:
+                        cc = cc[keep]
                 if n & (n - 1) == 0 and n >= _CYCLE_CHECK_EVERY:
                     saved[active] = z
                     saved_n = n
@@ -135,16 +150,17 @@ def classify_grid(z0, c, params: IterParams, threads: int = 1):
                 z = z * z + cc
             if active.size:
                 m2 = z.real * z.real + z.imag * z.imag
-                mags[active] = np.sqrt(m2)
+                mags_t[active] = np.sqrt(m2)
 
+    tiles = range(0, n_cells, _TILE_CELLS)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, min(threads, cpus or 1, n_cells))
-    bounds = np.linspace(0, n_cells, workers + 1, dtype=int)
     if workers == 1:
-        run(0, n_cells)
+        for lo in tiles:
+            run(lo)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, bounds[:-1], bounds[1:]))
+            list(pool.map(run, tiles))
     return status.reshape(shape), iters.reshape(shape), mags.reshape(shape)
 
 

@@ -142,8 +142,23 @@ def test_dimension_sidecar_schema(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 0
     side = json.loads((tmp_path / "out/dim.json").read_text())
     dim = side["stats"]["dimension"]
-    assert set(dim) == {"slope", "r_squared", "scales_used", "counts"}
+    assert set(dim) == {"slope", "r_squared", "min_box", "max_box", "scales_used", "counts"}
     assert 0.8 <= dim["slope"] <= 1.2  # unit-circle boundary
+
+
+@pytest.mark.parametrize("doc", [
+    {"command": "dimension", "c": [0, 0], "iter": {"max_iter": 100},
+     "grid": {"center": [0, 0], "width": 3.0, "height": 1.5, "px_w": 256, "px_h": 128}},
+    {"command": "zeno", "d0": 1.0, "t1": 1.0, "n": 12, "px_w": 256, "px_h": 128},
+], ids=["dimension", "zeno"])
+def test_dimension_stats_record_the_box_range_used(tmp_path, doc):
+    cfg = write_config(tmp_path, {**doc, "output": str(tmp_path / "out/d")})
+    assert main(["run", "--config", str(cfg)]) == 0
+    side = json.loads((tmp_path / "out/d.json").read_text())
+    dim = side["stats"]["dimension"]
+    assert (dim["min_box"], dim["max_box"]) == (2, min(256, 128) // 4)
+    assert "min_box" not in side["config"] and "max_box" not in side["config"]
+    assert dim["scales_used"] == [2, 4, 8, 16, 32]
 
 
 def test_zeno_sidecar_and_image(tmp_path):

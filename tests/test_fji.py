@@ -1,5 +1,6 @@
 import os
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -361,14 +362,16 @@ def test_classify_grid_equals_full_budget_kernel_on_nonfinite_and_huge_seeds(rad
        c=st.complex_numbers(max_magnitude=2.0),
        mandelbrot=st.booleans(),
        max_iter=st.integers(1, 300),
-       threads=st.integers(1, 8))
+       threads=st.integers(1, 8),
+       tile=st.integers(1, 300))
 def test_classify_grid_equals_full_budget_kernel_on_random_windows(
-        center, width, px, c, mandelbrot, max_iter, threads):
+        center, width, px, c, mandelbrot, max_iter, threads, tile):
     points = GridSpec(center, width, width, *px).points()
     z0, c = (np.complex128(0), points) if mandelbrot else (points, np.complex128(c))
     params = IterParams(max_iter, 2.0)
-    # eight CPUs so that the bands really split on a smaller host
-    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(8)), create=True):
+    # eight CPUs so that the tiles really spread over threads on a smaller host
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(8)), create=True), \
+            mock.patch.object(fji, "_TILE_CELLS", tile):
         out = classify_grid(z0, c, params, threads=threads)
     _assert_same_bytes(out, _full_budget_kernel(z0, c, params))
 
@@ -385,3 +388,69 @@ def test_each_seed_alone_equals_its_batch_entry(c):
         alone = classify_grid(seeds[k:k + 1], np.complex128(c), params)
         for got, want in zip(alone, batch):
             assert got.tobytes() == want[k:k + 1].tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("name", ["row", "seeds_1d", "seed_0d"])
+def test_tiles_of_one_cell_give_the_same_fields(name, threads, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(fji, "_TILE_CELLS", 1)
+    z0, c = _band_inputs()[name]
+    params = IterParams(150, 2.0)
+    _assert_same_bytes(classify_grid(z0, c, params, threads=threads),
+                       _full_budget_kernel(z0, c, params))
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("tile", [97, 96 * 96, 10 ** 6])  # a prime, the input, more
+@pytest.mark.parametrize("name", ["basilica", "quarter_i", "no_cycle", "cardioid",
+                                  "julia_full", "mandelbrot_full"])
+def test_tile_size_does_not_change_the_fields(name, tile, threads, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(fji, "_TILE_CELLS", tile)
+    z0, c = _windows(96)[name]
+    for max_iter in (17, 400):
+        params = IterParams(max_iter, 2.0)
+        _assert_same_bytes(classify_grid(z0, c, params, threads=threads),
+                           _full_budget_kernel(z0, c, params))
+
+
+@pytest.mark.parametrize("name", ["basilica", "quarter_i", "no_cycle", "cardioid"])
+def test_fixed_c_equals_c_per_cell(name):
+    z0, c = _windows(96)[name]
+    if np.ndim(c):  # a parameter-plane window: its points become the seeds
+        z0, c = c, np.complex128(-0.1)
+    params = IterParams(400, 2.0)
+    _assert_same_bytes(classify_grid(z0, c, params),
+                       classify_grid(z0, np.full(z0.shape, c), params))
+
+
+def test_fixed_c_equals_c_per_cell_on_one_cell_and_in_cycle_steps():
+    # c = -1 from 0 cycles 0, -1 with the save at 8 and the match at 16;
+    # max_iter 21 leaves (21 - 16) % 8 = 5 finishing steps, ending on -1
+    for z0, c, max_iter in [(np.array([0.3 + 0.2j]), -0.4 + 0.6j, 200),
+                            (np.array([0j]), -1 + 0j, 21),
+                            (GridSpec(0j, 0.4, 0.4, 9, 9).points(), -1 + 0j, 21)]:
+        params = IterParams(max_iter, 2.0)
+        fixed = classify_grid(z0, np.complex128(c), params)
+        _assert_same_bytes(fixed, classify_grid(z0, np.full(z0.shape, c), params))
+        _assert_same_bytes(fixed, _full_budget_kernel(z0, np.complex128(c), params))
+    assert fixed[2][4, 4] == 1.0  # z_21 = -1, reached through the finishing steps
+
+
+def _kernel_peak(px):
+    """tracemalloc peak of one classify_grid call, less its three outputs,
+    on a fully Bounded window where no cell cycles within the budget."""
+    z0 = GridSpec(0.2969 + 0.1844j, 0.045, 0.045, px, px).points()
+    tracemalloc.start()
+    try:
+        out = classify_grid(z0, np.complex128(-0.7589 + 0.0735j), IterParams(40, 2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(out[0] == OrbitStatus.BOUNDED)
+    return peak - sum(a.nbytes for a in out)
+
+
+def test_kernel_memory_does_not_grow_with_the_frame():
+    assert _kernel_peak(1024) <= 2 * _kernel_peak(256)
