@@ -17,6 +17,10 @@ from enum import IntEnum
 
 import numpy as np
 
+# cells per tile of all per-cell work (orbit kernel, map and flow evaluation,
+# forward splat): a tile's temporaries fit a core's L2 whatever the frame size
+_TILE_CELLS = 32768
+
 
 class DomainError(ValueError):
     """A point lies outside a map's or flow's valid domain."""
@@ -32,11 +36,17 @@ def require_finite(z: complex, name: str = "value") -> complex:
 def evaluate(fn, z, what: str):
     """fn(z) for an elementwise map fn of complex128 arrays that returns
     NaN where it is undefined, run with floating-point warnings off. An
-    ndarray keeps those NaN entries; a scalar must be finite, goes through
-    a one-element array and raises DomainError there."""
+    ndarray keeps those NaN entries; fn runs on each contiguous tile of
+    _TILE_CELLS flat cells into one output, so any tile size gives the same
+    result. A scalar must be finite, goes through a one-element array and
+    raises DomainError there."""
     if isinstance(z, np.ndarray):
+        flat = np.asarray(z, dtype=np.complex128).reshape(-1)
+        out = np.empty(flat.size, dtype=np.complex128)
         with np.errstate(all="ignore"):
-            return fn(np.asarray(z, dtype=np.complex128))
+            for lo in range(0, flat.size, _TILE_CELLS):
+                out[lo:lo + _TILE_CELLS] = fn(flat[lo:lo + _TILE_CELLS])
+        return out.reshape(z.shape)
     z = require_finite(z, "z")
     w = complex(evaluate(fn, np.array([z]), what)[0])
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
@@ -135,19 +145,18 @@ class GridSpec:
         j = min(int(v), self.px_h - 1)
         return i, j
 
-    def pixel_of_array(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized pixel_of: returns (i, j, inside) with inside False for
-        non-finite points and points outside the window."""
-        re = z.real
-        im = z.imag
-        with np.errstate(invalid="ignore"):
-            u = (re - self.center.real) / self.dx + self.px_w / 2
-            v = (self.center.imag - im) / self.dy + self.px_h / 2
+    def pixels_hit(self, z: np.ndarray) -> np.ndarray:
+        """Flat indices j * px_w + i of the pixels pixel_of gives for the
+        points of z in the window. NaN and inf fail the bound tests, and
+        truncation is floor on u, v >= 0, so only in-window points are
+        indexed."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = (z.real - self.center.real) / self.dx + self.px_w / 2
+            v = (self.center.imag - z.imag) / self.dy + self.px_h / 2
             inside = (u >= 0.0) & (u <= self.px_w) & (v >= 0.0) & (v <= self.px_h)
-        inside &= np.isfinite(re) & np.isfinite(im)
-        i = np.clip(np.floor(np.where(inside, u, 0.0)).astype(np.int64), 0, self.px_w - 1)
-        j = np.clip(np.floor(np.where(inside, v, 0.0)).astype(np.int64), 0, self.px_h - 1)
-        return i, j, inside
+        i = np.minimum(u[inside].astype(np.int64), self.px_w - 1)
+        j = np.minimum(v[inside].astype(np.int64), self.px_h - 1)
+        return j * self.px_w + i
 
     def scaled(self, factor: float, origin: complex = 0j) -> "GridSpec":
         """Window image under z -> factor*(z - origin) + origin."""

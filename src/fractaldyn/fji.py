@@ -29,12 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, OrbitResult, OrbitStatus, RasterField, require_finite
+from .core import _TILE_CELLS, GridSpec, OrbitResult, OrbitStatus, RasterField, require_finite
 
 DEFAULT_MAX_ITER = 500
 DEFAULT_ESCAPE_RADIUS = 2.0
 _CYCLE_CHECK_EVERY = 8  # iterations between periodicity checks
-_TILE_CELLS = 32768  # cells per unit of kernel work: a tile's temporaries fit a core's L2
 
 
 @dataclass(frozen=True)
@@ -73,12 +72,12 @@ def classify_grid(z0, c, params: IterParams, threads: int = 1):
     to completion before the next, so every temporary of the loop stays in
     a core's cache and the working memory is a tile's, not the frame's.
     One worker runs the tiles in the caller's thread; more take them from
-    a thread pool, at most one per CPU in the process's affinity mask
-    (os.cpu_count() where the OS keeps none). A 0-d c stays a scalar: only
-    z0 is broadcast, and each step adds the one c. Each cell's arithmetic
-    (the same out-of-place z*z + c, escape test and cycle checks) depends
-    neither on its tile nor on its thread, so the output is identical for
-    any tile size and thread count.
+    a thread pool, at most one per tile and one per CPU in the process's
+    affinity mask (os.cpu_count() where the OS keeps none). A 0-d c stays
+    a scalar: only z0 is broadcast, and each step adds the one c. Each
+    cell's arithmetic (the same out-of-place z*z + c, escape test and
+    cycle checks) depends neither on its tile nor on its thread, so the
+    output is identical for any tile size and thread count.
 
     Periodicity checking (Brent's cycle detection): each active cell's z
     is saved at iterations 8, 16, 32, ... and, every 8 iterations after
@@ -154,7 +153,7 @@ def classify_grid(z0, c, params: IterParams, threads: int = 1):
 
     tiles = range(0, n_cells, _TILE_CELLS)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = max(1, min(threads, cpus or 1, n_cells))
+    workers = max(1, min(threads, cpus or 1, len(tiles)))
     if workers == 1:
         for lo in tiles:
             run(lo)

@@ -15,7 +15,8 @@ approximation of any of them:
                      coincides with the time-(-t) map only at t = 2*pi*n.
 
 Scalar calls raise DomainError where a map is undefined; array calls
-mark those entries NaN so rendering loops can flag them Invalid.
+mark those entries NaN so rendering loops can flag them Invalid. Arrays
+go through core.evaluate a tile at a time, so RK4 stages hold a tile.
 """
 
 from __future__ import annotations
@@ -47,11 +48,11 @@ class FlowSpec:
 
 def _at_time(fn, t: float):
     """fn(., t) as a one-argument array map. At t = 0 every kind is the
-    exact identity, so no arithmetic runs there."""
+    exact identity, so no arithmetic runs there (evaluate copies it out)."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     if t == 0.0:
-        return np.copy
+        return lambda z: z
     return lambda z: fn(z, float(t))
 
 

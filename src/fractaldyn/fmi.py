@@ -11,8 +11,8 @@ orbit diverges.
 
 forward_image is the independent route to the same set: it pushes every
 Bounded source pixel through f with stratified supersampling and splats
-onto nearest destination pixels, one sub-pixel offset at a time, so it
-holds one sample per Bounded cell at a time. When f stretches distances
+onto nearest destination pixels, one sub-pixel offset of one shared tile
+of centers (core._TILE_CELLS) at a time. When f stretches distances
 by at most l2, supersampling at source pitch / s keeps the splat spacing
 below the destination pitch whenever l2 * src_pitch / s <= dst_pitch.
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, OrbitStatus, RasterField, require_finite
+from .core import _TILE_CELLS, GridSpec, OrbitStatus, RasterField, require_finite
 from .fji import IterParams, classify_grid, render_julia
 from .maps import MapSpec, eval_forward, eval_inverse
 
@@ -59,7 +59,7 @@ def forward_image(src_field: RasterField, m: MapSpec, dst_grid: GridSpec,
     points (a regular subgrid of its cell); each sample that stays in f's
     domain marks the nearest destination pixel Bounded. Unmarked cells are
     Escaped(0). Marking is idempotent, so overlapping splats are harmless
-    and each sub-pixel offset is splatted in a pass of its own.
+    and each tile's sub-pixel offsets are splatted in passes of their own.
     """
     if supersample < 1:
         raise ValueError("supersample must be >= 1")
@@ -68,12 +68,14 @@ def forward_image(src_field: RasterField, m: MapSpec, dst_grid: GridSpec,
     src = src_field.grid
     centers = src.points()[src_field.bounded_mask()]
 
+    marks = out.status.reshape(-1)
     off = (np.arange(supersample) + 0.5) / supersample - 0.5
-    for oy in off * src.dy:
-        for ox in off * src.dx:
-            img = eval_forward(m, centers + complex(ox, oy))
-            di, dj, inside = dst_grid.pixel_of_array(img)
-            out.status[dj[inside], di[inside]] = OrbitStatus.BOUNDED
+    for lo in range(0, centers.size, _TILE_CELLS):
+        tile = centers[lo:lo + _TILE_CELLS]
+        for oy in off * src.dy:
+            for ox in off * src.dx:
+                img = eval_forward(m, tile + complex(ox, oy))
+                marks[dst_grid.pixels_hit(img)] = OrbitStatus.BOUNDED
     return out
 
 

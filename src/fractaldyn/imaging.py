@@ -46,10 +46,13 @@ class PaletteRule:
         u = (k + 1) / (hi + 1) for each escape index k in [lo, hi], the range
         over Escaped cells, then a black (Bounded) and a magenta (Invalid) row.
         Fields the package makes have escape indices in [0, max_iter), so the
-        table has at most max_iter ramp rows, no more than the kernel ran."""
+        table has at most max_iter ramp rows, no more than the kernel ran;
+        a negative index raises ValueError."""
         escaped = field.status == OrbitStatus.ESCAPED
         k = field.escape_iter[escaped]
         lo, hi = (int(k.min()), int(k.max())) if k.size else (1, 0)  # empty ramp, n_max 0
+        if lo < 0:
+            raise ValueError(f"escape indices must be >= 0, got {lo}")
         u = (np.arange(lo, hi + 1).astype(float) + 1.0) / (hi + 1.0)
         pos, rgb = zip(*self.stops)
         ramp = np.stack([np.interp(u, pos, channel) for channel in zip(*rgb)], axis=-1)

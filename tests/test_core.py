@@ -84,24 +84,24 @@ def test_points_array_matches_point_of():
         assert pts[j, i] == grid.point_of(i, j)
 
 
-def test_pixel_of_array_matches_scalar():
+def test_pixels_hit_matches_scalar():
     grid = GridSpec(0j, 3.0, 3.0, 64, 64)
     rng = np.random.default_rng(5)
     zs = rng.uniform(-2, 2, 300) + 1j * rng.uniform(-2, 2, 300)
-    i, j, inside = grid.pixel_of_array(zs)
-    for k, z in enumerate(zs):
-        expected = grid.pixel_of(complex(z))
-        if expected is None:
-            assert not inside[k]
-        else:
-            assert inside[k] and (i[k], j[k]) == expected
+    # the window's edges and corners, which pixel_of clamps to the last pixel
+    zs = np.concatenate([zs, [1.5 + 1.5j, -1.5 - 1.5j, 1.5 + 0j, -1.5j, np.nextafter(1.5, 2)]])
+    expected = [grid.pixel_of(complex(z)) for z in zs]
+    assert any(e is None for e in expected)
+    hit = grid.pixels_hit(zs)
+    assert hit.tolist() == [j * grid.px_w + i for i, j in filter(None, expected)]
 
 
-def test_pixel_of_array_flags_nonfinite():
+def test_pixels_hit_skips_nonfinite():
     grid = GridSpec(0j, 2.0, 2.0, 8, 8)
-    zs = np.array([0j, complex(np.nan, 0), complex(0, np.inf)])
-    _, _, inside = grid.pixel_of_array(zs)
-    assert inside.tolist() == [True, False, False]
+    zs = np.array([0j, complex(np.nan, 0), complex(0, np.inf), complex(-np.inf, np.nan),
+                   1e308 + 0j])
+    i, j = grid.pixel_of(0j)
+    assert grid.pixels_hit(zs).tolist() == [j * grid.px_w + i]
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -268,11 +268,16 @@ def test_classify_grid_caps_workers_at_cpu_count(monkeypatch):
     monkeypatch.setattr(fji, "ThreadPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)  # the host may have more CPUs
-    z0 = GridSpec(0j, 3.0, 3.0, 24, 24).points()
+    monkeypatch.setattr(fji, "_TILE_CELLS", 100)
+    z0 = GridSpec(0j, 3.0, 3.0, 24, 24).points()  # 576 cells: 6 tiles
     ref = classify_grid(z0, np.complex128(-1), P, threads=1)
     assert built == []
     out = classify_grid(z0, np.complex128(-1), P, threads=10 ** 6)
     assert built == [4]
+    # one tile: no pool, whatever the thread count
+    one = classify_grid(z0[:4], np.complex128(-1), P, threads=10 ** 6)
+    assert built == [4]
+    _assert_same_bytes(one, tuple(a[:4] for a in ref))
     for got, want in zip(out, ref):
         assert np.array_equal(got, want)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,3 +193,21 @@ def test_flow_inverse_marks_blowup_pixels_invalid():
     grid = GridSpec(0j, 6.0, 6.0, 33, 33)
     field = fmi_flow_julia(grid, 0j, LimitCycle(), 0.8, IterParams(50, 2.0))
     assert field.invalid_mask().sum() > 0
+
+
+def _rk4_inverse_peak(px):
+    """tracemalloc peak of one RK4 flow_inverse over a px x px window,
+    less its output."""
+    z = GridSpec(0j, 3.0, 3.0, px, px).points()
+    tracemalloc.start()
+    try:
+        out = flow_inverse(NumericRK4(LimitCycle(), 0.1), z, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == z.shape and np.isfinite(out).all()
+    return peak - out.nbytes
+
+
+def test_rk4_memory_does_not_grow_with_the_frame():
+    assert _rk4_inverse_peak(1024) <= 2 * _rk4_inverse_peak(256)

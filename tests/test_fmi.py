@@ -111,7 +111,15 @@ def splat_reference(src_field, m, dst_grid, supersample):
     off_x, off_y = np.meshgrid(off * src.dx, off * src.dy)
     offsets = (off_x + 1j * off_y).reshape(-1)
     pts = (centers[:, np.newaxis] + offsets[np.newaxis, :]).reshape(-1)
-    di, dj, inside = dst_grid.pixel_of_array(eval_forward(m, pts))
+    img = eval_forward(m, pts)
+    # nearest pixel of every sample at once, by floor and clip
+    with np.errstate(invalid="ignore", over="ignore"):
+        u = (img.real - dst_grid.center.real) / dst_grid.dx + dst_grid.px_w / 2
+        v = (dst_grid.center.imag - img.imag) / dst_grid.dy + dst_grid.px_h / 2
+        inside = (u >= 0.0) & (u <= dst_grid.px_w) & (v >= 0.0) & (v <= dst_grid.px_h)
+    inside &= np.isfinite(img.real) & np.isfinite(img.imag)
+    di = np.clip(np.floor(np.where(inside, u, 0.0)).astype(np.int64), 0, dst_grid.px_w - 1)
+    dj = np.clip(np.floor(np.where(inside, v, 0.0)).astype(np.int64), 0, dst_grid.px_h - 1)
     out.status[dj[inside], di[inside]] = OrbitStatus.BOUNDED
     return out
 
@@ -145,17 +153,32 @@ def window_over_image(m, grid):
                     max(im1 - im0, 1e-3), 32, 32)
 
 
-@pytest.mark.parametrize("m", [
+SPLAT_MAPS = pytest.mark.parametrize("m", [
     Identity(), Affine(2, 1), Affine(-0.3 + 1.2j, 0.5j), ArccosReciprocal(), ArcsinRoot5(),
     ReciprocalSqrt(), QuadraticParam(0.6, 0.02 - 0.02j, -0.175 - 0.655j),
     FlowMap(LimitCycle(), 0.5), FlowMap(NumericRK4(LimitCycle(), 1e-2), 0.5),
 ], ids=lambda m: m.kind if m.kind != "flow" else f"flow-{m.flow.kind}")
+
+
+@SPLAT_MAPS
 def test_forward_image_equals_single_array_reference(m):
     for name, src in source_masks():
         dst = window_over_image(m, src.grid)
         for s in (1, 2, 3, 8):
             out = forward_image(src, m, dst, supersample=s)
             assert fields_equal(out, splat_reference(src, m, dst, s)), (name, s)
+
+
+@SPLAT_MAPS
+def test_forward_image_tile_size_does_not_change_the_splat(m, monkeypatch):
+    if isinstance(getattr(m, "flow", None), NumericRK4):
+        m = FlowMap(NumericRK4(LimitCycle(), 0.1), m.t)  # 5 steps keep one-cell tiles quick
+    for name, src in source_masks():
+        dst = window_over_image(m, src.grid)
+        ref = splat_reference(src, m, dst, 3)
+        for tile in (1, 97, src.grid.px_w * src.grid.px_h):  # one cell, a prime, the input
+            monkeypatch.setattr("fractaldyn.fmi._TILE_CELLS", tile)
+            assert fields_equal(forward_image(src, m, dst, supersample=3), ref), (name, tile)
 
 
 def test_forward_image_memory_does_not_grow_with_supersample():

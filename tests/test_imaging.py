@@ -135,9 +135,16 @@ def test_colorize_escape_indices_up_to_100000():
 
 
 def test_colorize_negative_escape_index():
+    # largest index -1 would divide by n_max + 1 = 0; any negative index is refused
     esc, bnd = OrbitStatus.ESCAPED, OrbitStatus.BOUNDED
-    assert_colorize_equals_per_cell(field_of([[esc, esc, esc, bnd]], [[-4, 0, 10, -9]]))
-    assert_colorize_equals_per_cell(field_of([[esc, esc, bnd]], [[-3, -7, 5]]))
+    for status, k in [([[esc, esc]], [[-1, -2]]), ([[esc, esc, esc, bnd]], [[-4, 0, 10, -9]]),
+                      ([[esc, esc, bnd]], [[-3, -7, 5]])]:
+        field = field_of(status, k)
+        for name in PALETTE_NAMES:
+            with pytest.raises(ValueError, match="escape indices"):
+                get_palette(name).colorize(field)
+    # a negative index on a Bounded cell is not an escape index
+    assert_colorize_equals_per_cell(field_of([[esc, bnd]], [[3, -9]]))
 
 
 def test_colorize_package_fields_equal_per_cell_reference():

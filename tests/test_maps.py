@@ -1,12 +1,16 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import qmc
 
+from fractaldyn import core
 from fractaldyn.core import DomainError, GridSpec
-from fractaldyn.flows import (LimitCycle, Linear, NumericRK4, PeriodicForced,
+from fractaldyn.flows import (FLOW_KINDS, LimitCycle, Linear, NumericRK4, PeriodicForced,
                               flow_apply, flow_inverse)
 from fractaldyn.maps import (MAP_KINDS, Affine, ArccosReciprocal, ArcsinRoot5,
                              FlowMap, Identity, InsufficientSamples,
@@ -240,3 +244,40 @@ def test_affine_iterated_composition():
 def test_scalar_requires_finite_input():
     with pytest.raises(ValueError):
         eval_forward(Identity(), complex(np.nan, 0))
+
+
+def tiled_calls(t):
+    """(name, evaluated call, the array function it runs) for every map
+    kind's forward and inverse and every flow kind's apply and inverse at
+    time t."""
+    rk4 = NumericRK4(LimitCycle(), 0.05)
+    maps = [Identity(), Affine(-0.3 + 1.2j, 0.5j), ArccosReciprocal(), ArcsinRoot5(),
+            ReciprocalSqrt(), QuadraticParam(0.6, 0.02 - 0.02j, -0.175 - 0.655j), FlowMap(rk4, t)]
+    flows = [Linear(-0.8 + 0.3j), LimitCycle(), PeriodicForced(0.01), rk4]
+    assert {m.kind for m in maps} == set(MAP_KINDS) and {f.kind for f in flows} == set(FLOW_KINDS)
+    for m in maps:
+        yield f"{m.kind}-forward", lambda z, m=m: eval_forward(m, z), m._forward_array
+        yield f"{m.kind}-inverse", lambda z, m=m: eval_inverse(m, z), m._inverse_array
+    for f in flows:
+        yield (f"{f.kind}-apply", lambda z, f=f: flow_apply(f, z, t),
+               lambda z, f=f: f._apply_array(z, t))
+        yield (f"{f.kind}-inverse", lambda z, f=f: flow_inverse(f, z, t),
+               lambda z, f=f: f._inverse_array(z, t))
+
+
+@settings(max_examples=25, deadline=None)
+@given(z=arrays(np.complex128, st.integers(1, 150),
+                elements=st.complex_numbers(max_magnitude=3.0) | st.sampled_from(
+                    [0j, 1e-10, math.pi, 1j, -1j, 3 + 0j, complex(math.nan, 0), 1e300j])),
+       t=st.floats(-0.6, 0.6).filter(lambda t: t != 0.0),
+       tile=st.integers(1, 300))
+def test_evaluate_is_independent_of_the_tile_size(z, t, tile):
+    for name, call, fn in tiled_calls(t):
+        # one untiled call; a flow map's inner evaluate gets one tile too
+        with np.errstate(all="ignore"), mock.patch.object(core, "_TILE_CELLS", z.size):
+            want = fn(z)
+        for size in (1, 97, tile, z.size, 10 ** 6):
+            with mock.patch.object(core, "_TILE_CELLS", size):
+                got = call(z)
+            assert got.dtype == np.complex128 and got.shape == z.shape, (name, size)
+            assert got.tobytes() == want.tobytes(), (name, size)
