@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
 from .core import GridSpec, OrbitStatus, RasterField
 
@@ -53,7 +52,6 @@ class ZenoDiagram:
 
     times: tuple[float, ...]
     heights: tuple[float, ...]
-    i0: int
 
 
 def _box_count(mask: np.ndarray, size: int) -> int:
@@ -107,6 +105,8 @@ def compare_masks(a: RasterField, b: RasterField) -> MaskComparison:
     MasksUndefinedError when both masks are empty; if exactly one is
     empty, jaccard is 0 and hausdorff_px is infinite.
     """
+    # imported here so that importing the package does not load scipy
+    from scipy.ndimage import distance_transform_edt
     if (a.grid.px_w, a.grid.px_h) != (b.grid.px_w, b.grid.px_h):
         raise ValueError("grids must have identical pixel dimensions")
     valid = ~(a.invalid_mask() | b.invalid_mask())
@@ -143,7 +143,7 @@ def zeno_states(d0: float, t1: float, n: int, i0: int) -> ZenoDiagram:
     idx = range(i0, i0 + n)
     times = tuple(t1 * (2.0 - 2.0 ** (1 - i)) for i in idx)
     heights = tuple(d0 * 2.0 ** (-i) for i in idx)
-    return ZenoDiagram(times, heights, i0)
+    return ZenoDiagram(times, heights)
 
 
 def rasterize_zeno(diagram: ZenoDiagram, px_w: int, px_h: int) -> RasterField:
@@ -163,10 +163,7 @@ def rasterize_zeno(diagram: ZenoDiagram, px_w: int, px_h: int) -> RasterField:
     field = RasterField.filled(grid, OrbitStatus.ESCAPED)
     ys = grid.points()[:, 0].imag
     for t, d in zip(times, heights):
-        u = (t - grid.center.real) / grid.dx + grid.px_w / 2
-        if not (0.0 <= u <= grid.px_w):
-            continue
-        col = min(int(u), grid.px_w - 1)
-        rows = ys <= d
-        field.status[rows, col] = OrbitStatus.BOUNDED
+        hit = grid.pixel_of(complex(t, grid.center.imag))
+        if hit is not None:
+            field.status[ys <= d, hit[0]] = OrbitStatus.BOUNDED
     return field

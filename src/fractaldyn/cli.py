@@ -32,15 +32,6 @@ def _out_path(cfg: SceneConfig, suffix: str) -> Path:
     return path
 
 
-def _write_manifest(cfg: SceneConfig, entries: list[dict]) -> dict:
-    """Write <output>_manifest.json listing the frames; returns the stats."""
-    with open(_out_path(cfg, "_manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump({"frames": entries}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return {"frames": len(entries),
-            "bounded_counts": [e["bounded_count"] for e in entries]}
-
-
 def _box_dimension(cfg: SceneConfig, mask) -> dict:
     """Box-counting fit over the mask's Bounded cells, as sidecar stats,
     with the box range it was fitted over. min_box defaults to 2, max_box
@@ -67,47 +58,41 @@ _RENDERERS = {
 }
 
 
-def _run_image(cfg: SceneConfig, threads: int) -> dict:
+def _run_image(cfg: SceneConfig, threads: int) -> tuple[dict, dict, list | None]:
     field = _RENDERERS[cfg.command](cfg, threads)
-    write_image(field, get_palette(cfg.palette), _out_path(cfg, ".ppm"))
     stats = {"bounded_count": field.bounded_count()}
     if cfg.map is not None:
         stats["invalid_count"] = int(field.invalid_mask().sum())
-    return stats
+    return {".ppm": field}, stats, None
 
-def _run_discrete_traj(cfg: SceneConfig, threads: int) -> dict:
+def _run_discrete_traj(cfg: SceneConfig, threads: int) -> tuple[dict, dict, list | None]:
     traj = discrete_trajectory(cfg.c, cfg.map, cfg.k_max, cfg.grid,
                                cfg.iter_params, cfg.supersample, threads)
-    palette = get_palette(cfg.palette)
-    entries = []
+    frames, rows = {}, []
     for k, (pull, push) in enumerate(zip(traj.pullback, traj.pushforward)):
-        p_pull = _out_path(cfg, f"_k{k:03d}.ppm")
-        p_push = _out_path(cfg, f"_push_k{k:03d}.ppm")
-        write_image(pull, palette, p_pull)
-        write_image(push, palette, p_push)
-        entries.append({"k": k, "pullback": p_pull.name, "pushforward": p_push.name,
-                        "bounded_count": pull.bounded_count()})
-    return _write_manifest(cfg, entries)
+        frames[f"_k{k:03d}.ppm"], frames[f"_push_k{k:03d}.ppm"] = pull, push
+        rows.append({"k": k, "pullback": Path(f"{cfg.output}_k{k:03d}.ppm").name,
+                     "pushforward": Path(f"{cfg.output}_push_k{k:03d}.ppm").name,
+                     "bounded_count": pull.bounded_count()})
+    return frames, {}, rows
 
-def _run_flow_traj(cfg: SceneConfig, threads: int) -> dict:
-    frames = trajectory_sweep(cfg.grid, cfg.c, cfg.flow, cfg.t_list,
+def _run_flow_traj(cfg: SceneConfig, threads: int) -> tuple[dict, dict, list | None]:
+    fields = trajectory_sweep(cfg.grid, cfg.c, cfg.flow, cfg.t_list,
                               cfg.iter_params, threads)
-    palette = get_palette(cfg.palette)
-    entries = []
-    for idx, (field, t) in enumerate(zip(frames, cfg.t_list)):
-        path = _out_path(cfg, f"_{idx:03d}.ppm")
-        write_image(field, palette, path)
-        entries.append({"file": path.name, "t": t, "bounded_count": field.bounded_count()})
-    return _write_manifest(cfg, entries)
+    frames, rows = {}, []
+    for idx, (field, t) in enumerate(zip(fields, cfg.t_list)):
+        frames[f"_{idx:03d}.ppm"] = field
+        rows.append({"file": Path(f"{cfg.output}_{idx:03d}.ppm").name, "t": t,
+                     "bounded_count": field.bounded_count()})
+    return frames, {}, rows
 
-def _run_dimension(cfg: SceneConfig, threads: int) -> dict:
+def _run_dimension(cfg: SceneConfig, threads: int) -> tuple[dict, dict, list | None]:
     field = render_julia(cfg.grid, cfg.c, cfg.iter_params, threads)
     mask = extract_boundary(field) if cfg.boundary else field
-    dimension = _box_dimension(cfg, mask)
-    write_image(mask, get_palette(cfg.palette), _out_path(cfg, ".ppm"))
-    return {"bounded_count": mask.bounded_count(), "dimension": dimension}
+    stats = {"bounded_count": mask.bounded_count(), "dimension": _box_dimension(cfg, mask)}
+    return {".ppm": mask}, stats, None
 
-def _run_verify_fmt(cfg: SceneConfig, threads: int) -> dict:
+def _run_verify_fmt(cfg: SceneConfig, threads: int) -> tuple[dict, dict, list | None]:
     # validate_config requires dst_grid unless the map is identity or affine.
     dst_grid = cfg.dst_grid
     if dst_grid is None:
@@ -117,24 +102,25 @@ def _run_verify_fmt(cfg: SceneConfig, threads: int) -> dict:
     fwd = forward_image(src, cfg.map, dst_grid, cfg.supersample)
     fmi = fmi_julia(dst_grid, cfg.c, cfg.map, cfg.iter_params, threads)
     cmp = analysis.compare_masks(fwd, fmi)
-    palette = get_palette(cfg.palette)
-    write_image(fwd, palette, _out_path(cfg, "_forward.ppm"))
-    write_image(fmi, palette, _out_path(cfg, "_fmi.ppm"))
-    return {"bounded_count_forward": fwd.bounded_count(),
-            "bounded_count_fmi": fmi.bounded_count(),
-            "comparison": {"jaccard": cmp.jaccard, "hausdorff_px": cmp.hausdorff_px}}
+    stats = {"bounded_count_forward": fwd.bounded_count(),
+             "bounded_count_fmi": fmi.bounded_count(),
+             "comparison": {"jaccard": cmp.jaccard, "hausdorff_px": cmp.hausdorff_px}}
+    return {"_forward.ppm": fwd, "_fmi.ppm": fmi}, stats, None
 
-def _run_zeno(cfg: SceneConfig, threads: int) -> dict:
+def _run_zeno(cfg: SceneConfig, threads: int) -> tuple[dict, dict, list | None]:
     diagram = analysis.zeno_states(cfg.d0, cfg.t1, cfg.n, cfg.i0)
     stats: dict = {"times": list(diagram.times), "heights": list(diagram.heights)}
-    if cfg.n >= 2:
-        field = analysis.rasterize_zeno(diagram, cfg.px_w, cfg.px_h)
-        write_image(field, get_palette(cfg.palette), _out_path(cfg, ".ppm"))
-        stats["bounded_count"] = field.bounded_count()
-        stats["dimension"] = _box_dimension(cfg, field)
-    return stats
+    if cfg.n < 2:
+        return {}, stats, None
+    field = analysis.rasterize_zeno(diagram, cfg.px_w, cfg.px_h)
+    stats["bounded_count"] = field.bounded_count()
+    stats["dimension"] = _box_dimension(cfg, field)
+    return {".ppm": field}, stats, None
 
 
+# A runner writes nothing: it returns its frames keyed by output suffix, in
+# write order, its sidecar stats, and a multi-frame command's manifest rows
+# (None for the others). run_scene writes them all.
 _RUNNERS = {
     **{command: _run_image for command in _RENDERERS},
     "discrete-traj": _run_discrete_traj,
@@ -146,9 +132,18 @@ _RUNNERS = {
 
 
 def run_scene(cfg: SceneConfig, threads: int = 1) -> dict:
-    """Execute a validated scene; returns the stats written to the sidecar."""
+    """Execute a validated scene and write its frames, manifest and sidecar;
+    returns the stats written to the sidecar."""
     t0 = time.perf_counter()
-    stats = _RUNNERS[cfg.command](cfg, threads)
+    frames, stats, rows = _RUNNERS[cfg.command](cfg, threads)
+    palette = get_palette(cfg.palette)
+    for suffix, field in frames.items():
+        write_image(field, palette, _out_path(cfg, suffix))
+    if rows is not None:
+        with open(_out_path(cfg, "_manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump({"frames": rows}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        stats.update(frames=len(rows), bounded_counts=[r["bounded_count"] for r in rows])
     stats["wall_time_s"] = time.perf_counter() - t0
     write_metadata(cfg.to_dict(), stats, _out_path(cfg, ".json"))
     return stats

@@ -158,14 +158,6 @@ class GridSpec:
         j = np.minimum(v[inside].astype(np.int64), self.px_h - 1)
         return j * self.px_w + i
 
-    def scaled(self, factor: float, origin: complex = 0j) -> "GridSpec":
-        """Window image under z -> factor*(z - origin) + origin."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        center = factor * (self.center - origin) + origin
-        return GridSpec(center, self.width * factor, self.height * factor,
-                        self.px_w, self.px_h)
-
     def affine_image(self, a: complex, b: complex, pad: float = 1.0) -> "GridSpec":
         """Axis-aligned window containing the image under z -> a*z + b.
 

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .core import GridSpec, evaluate, require_finite
 from .flows import FlowSpec, flow_apply, flow_inverse
@@ -229,6 +228,8 @@ def estimate_bilipschitz(m: MapSpec, region: GridSpec, n_pairs: int) -> tuple[fl
     """
     if n_pairs < 100:
         raise ValueError("n_pairs must be >= 100")
+    # imported here: scipy.stats takes over a second to load, and only this needs it
+    from scipy.stats import qmc
     sampler = qmc.Halton(d=4, scramble=False)
     pts = sampler.random(n_pairs)
     re0 = region.center.real - region.width / 2

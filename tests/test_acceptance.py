@@ -203,7 +203,7 @@ def test_c07_flow_snapshots():
     at_zero = fd.fmi_flow_julia(grid, c, fd.Linear(1), 0.0, params)
     assert fields_equal(at_zero, base)
 
-    scaled = fd.fmi_flow_julia(grid.scaled(math.e), c, fd.Linear(1), 1.0, params)
+    scaled = fd.fmi_flow_julia(grid.affine_image(math.e, 0), c, fd.Linear(1), 1.0, params)
     cmp = fd.compare_masks(scaled, base)
     assert cmp.jaccard >= 0.9
     report(7, f"t=0 field equals the plain render exactly; e-scaled t=1 jaccard "
@@ -225,8 +225,8 @@ def test_c08_discrete_trajectory(tmp_path):
     js = []
     for k in range(1, 6):
         traj_k = fd.discrete_trajectory(c, fd.Affine(0.5, 0), k,
-                                        grid.scaled(0.5 ** k), params, supersample=1)
-        composed = fd.fmi_julia(grid.scaled(0.5 ** k), c,
+                                        grid.affine_image(0.5 ** k, 0), params, supersample=1)
+        composed = fd.fmi_julia(grid.affine_image(0.5 ** k, 0), c,
                                 fd.Affine(0.5, 0).iterated(k), params)
         assert fields_equal(traj_k.pullback[k], composed)
         js.append(fd.compare_masks(traj_k.pullback[k], base).jaccard)

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fractaldyn
+from fractaldyn import cli
 from fractaldyn.cli import main
+from fractaldyn.config import validate_config
 from fractaldyn.imaging import INVALID_RGB
 
 
@@ -240,3 +246,69 @@ def test_invalid_pixels_use_reserved_color(tmp_path):
     _, _, rgb = read_ppm(tmp_path / "out/inv.ppm")
     pixels = [tuple(rgb[i:i + 3]) for i in range(0, len(rgb), 3)]
     assert INVALID_RGB in pixels
+
+
+def test_importing_the_cli_loads_no_scipy_stats_or_ndimage():
+    # scipy.stats alone takes over a second to import; the two functions
+    # that use scipy import it when called
+    src = str(Path(fractaldyn.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fractaldyn.cli; print(sorted(m for m in sys.modules "
+                               "if m.startswith(('scipy.stats', 'scipy.ndimage'))))"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+ITER = {"max_iter": 60}
+ONE_DOC_PER_COMMAND = [
+    {"command": "julia", "grid": grid16(), "c": [-1, 0], "iter": ITER},
+    {"command": "mandelbrot", "grid": grid16(), "iter": ITER},
+    {"command": "fmi-julia", "grid": grid16(), "c": [-1, 0], "iter": ITER,
+     "map": {"kind": "arccos_reciprocal"}},
+    {"command": "fmi-mandelbrot", "grid": grid16(), "iter": ITER,
+     "map": {"kind": "reciprocal_sqrt"}},
+    {"command": "discrete-traj", "grid": grid16(), "c": [-1, 0], "iter": ITER,
+     "map": {"kind": "affine", "a": [0.5, 0]}, "k_max": 2},
+    {"command": "flow-traj", "grid": grid16(), "c": [-1, 0], "iter": ITER,
+     "flow": {"kind": "linear", "lambda": [-1, 0]}, "t_list": [0, 0.5, 1.0]},
+    {"command": "dimension", "grid": {**grid16(), "px_w": 32, "px_h": 32}, "c": [0, 0],
+     "iter": ITER},
+    {"command": "verify-fmt", "grid": grid16(), "c": [-1, 0], "iter": ITER,
+     "map": {"kind": "affine", "a": [2, 0], "b": [1, 0]}},
+    {"command": "zeno", "d0": 1.0, "t1": 1.0, "n": 8, "px_w": 64, "px_h": 32},
+    {"command": "zeno", "d0": 1.0, "t1": 1.0, "n": 1},
+]
+
+
+def test_one_doc_per_command_covers_every_runner():
+    assert {doc["command"] for doc in ONE_DOC_PER_COMMAND} == set(cli._RUNNERS)
+
+
+@pytest.mark.parametrize("doc", ONE_DOC_PER_COMMAND,
+                         ids=[f"{d['command']}-{n}" for n, d in enumerate(ONE_DOC_PER_COMMAND)])
+def test_runners_write_nothing_and_run_scene_writes_every_output(tmp_path, monkeypatch, doc):
+    monkeypatch.chdir(tmp_path)
+    cfg = validate_config({**doc, "output": "out/s"})
+    frames, _, rows = cli._RUNNERS[cfg.command](cfg, 1)
+    assert list(tmp_path.iterdir()) == []
+    assert (rows is not None) == (cfg.command in ("discrete-traj", "flow-traj"))
+
+    written = []
+    write_image = cli.write_image
+
+    def record(field, palette, path):
+        written.append(Path(path).name)
+        write_image(field, palette, path)
+
+    monkeypatch.setattr(cli, "write_image", record)
+    stats = cli.run_scene(cfg)
+    assert written == [f"s{suffix}" for suffix in frames]
+    expected = {f"s{suffix}" for suffix in frames} | {"s.json"}
+    if rows is not None:
+        expected.add("s_manifest.json")
+        manifest = json.loads((tmp_path / "out/s_manifest.json").read_text())
+        assert manifest["frames"] == rows
+        assert stats["frames"] == len(rows)
+    assert {p.name for p in tmp_path.rglob("*") if p.is_file()} == expected
+    assert {p.parent for p in tmp_path.rglob("*") if p.is_file()} == {tmp_path / "out"}

@@ -117,7 +117,7 @@ def test_grid_validation(kwargs):
 
 def test_scaled_grid():
     grid = GridSpec(1 + 1j, 2.0, 4.0, 16, 32)
-    s = grid.scaled(0.5)
+    s = grid.affine_image(0.5, 0)
     assert s.center == 0.5 + 0.5j and s.width == 1.0 and s.height == 2.0
     assert (s.px_w, s.px_h) == (16, 32)
 

@@ -168,7 +168,7 @@ def test_fmi_flow_julia_t0_equals_render(basilica_512):
 
 def test_expansion_flow_rescales_mask(basilica_512):
     from fractaldyn.analysis import compare_masks
-    grid_e = basilica_512.grid.scaled(math.e)
+    grid_e = basilica_512.grid.affine_image(math.e, 0)
     field = fmi_flow_julia(grid_e, -1 + 0j, Linear(1), 1.0, IterParams(400, 2.0))
     cmp = compare_masks(field, basilica_512)
     assert cmp.jaccard >= 0.9

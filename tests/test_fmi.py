@@ -234,7 +234,7 @@ def test_trajectory_self_similarity_after_rescaling():
     base = render_julia(grid, -1 + 0j, P)
     m = Affine(0.5, 0)
     for k in (1, 3, 5):
-        traj_k = discrete_trajectory(-1 + 0j, m, k, grid.scaled(0.5 ** k), P,
+        traj_k = discrete_trajectory(-1 + 0j, m, k, grid.affine_image(0.5 ** k, 0), P,
                                      supersample=1)
         cmp = compare_masks(traj_k.pullback[k], base)
         assert cmp.jaccard >= 0.9
