@@ -16,7 +16,12 @@ is read off the cycle: the output is bit-identical to running every
 cell for the full budget, only faster inside the set. It walks the cells
 in fixed tiles, so its working memory is a tile's, not the frame's, and a
 single Julia parameter stays a scalar; neither changes any cell's
-arithmetic, so neither changes the output.
+arithmetic, so neither changes the output. For |c| within a rounding
+margin of r^2 - r an orbit past the radius never comes back (Milnor,
+Dynamics in One Complex Variable, section 9), so a tile whose orbits still
+running after 8 steps all have such a c tests for escape once per 8 steps
+and re-walks a failed block for the exact escape index, with the same
+output.
 """
 
 from __future__ import annotations
@@ -88,7 +93,31 @@ def classify_grid(z0, c, params: IterParams, threads: int = 1):
     Bounded. It is finished with (max_iter - n) mod p more steps, p being
     the iterations since the save; they land on the value the full budget
     ends on, so its last magnitude, and the whole output, equal a run
-    without the check bit for bit."""
+    without the check bit for bit.
+
+    Block escape tests: every tile tests m2 <= r2 at indices 0 to 8. If
+    the cells still active after the test at 8 all have |c| <= c_bound =
+    r2 - r - 1e-9*r2 (r2 the capped r*r), it then tests only at multiples
+    of 8 and at max_iter - 1, and just steps z*z + c in between; otherwise
+    it tests every index. (At r = 2 a Mandelbrot cell with |c| > 2 has
+    escaped at index 1, so parameter-plane tiles block too.) A cell that
+    fails a test is re-walked from its z at the previous test (kept by
+    reference, as the steps are out of place) for its first failing index
+    and its m2 there. That equals testing every index bit for bit, because
+    for such a c a failed test stays failed (u = 2**-53, the unit
+    roundoff):
+    - a computed m2 > r2 means |z|^2 > r2(1 - 3u), since m2 rounds up by
+      at most (1 + u)^2 and r2 is at least r^2(1 - u) or the capped max;
+    - the computed z*z + c is within 5u(|z|^2 + |c|) of the exact one, so
+      its modulus is at least r2(1 - 3u)(1 - 5u) - c_bound(1 + 5u) > r +
+      0.99e-9*r2 >= r(1 + 1.98e-9), and its m2 > r^2(1 + u) >= r2: the
+      next test fails too, as does every later one;
+    - an overflow makes z non-finite, and inf and NaN never return to
+      finite: the real part x*x - y*y + Re c is then an infinity or NaN;
+    - every step and every re-walk is the same out-of-place z*z + c, whose
+      rounding does not depend on the array's length, so a re-walk retraces
+      the z and m2 of the loop exactly. Cycle checks and saves fall on
+      multiples of 8, which are tested, so they see the same cells."""
     z0, c = (np.asarray(a, dtype=np.complex128) for a in (z0, c))
     shape = np.broadcast_shapes(z0.shape, c.shape)
     z0 = np.broadcast_to(z0, shape).reshape(-1)
@@ -99,6 +128,9 @@ def classify_grid(z0, c, params: IterParams, threads: int = 1):
     mags = np.zeros(n_cells, dtype=np.float64)
     # capped so that ~(m2 <= r2) still reads an infinite m2 as an escape
     r2 = min(params.escape_radius * params.escape_radius, sys.float_info.max)
+    # escape past r is permanent for |c| <= r^2 - r; the margin covers rounding
+    c_bound = r2 - params.escape_radius - 1e-9 * r2
+    last = params.max_iter - 1
 
     def run(lo):
         tile = slice(lo, lo + _TILE_CELLS)
@@ -110,11 +142,15 @@ def classify_grid(z0, c, params: IterParams, threads: int = 1):
         saved = np.empty(finite.size, dtype=np.complex128)
         z = z0[tile][active]
         cc = c_t[active] if c.ndim else c
-        saved_n = 0
+        saved_n = tested = 0
+        block = 1
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(params.max_iter):
                 if active.size == 0:
                     break
+                if n > _CYCLE_CHECK_EVERY and n % block and n != last:
+                    z = z * z + cc  # untested: a failed test would stay failed
+                    continue
                 m2 = z.real * z.real + z.imag * z.imag
                 esc = ~(m2 <= r2)  # NaN and inf escape too
                 done = esc
@@ -133,9 +169,21 @@ def classify_grid(z0, c, params: IterParams, threads: int = 1):
                         done = esc | cyc
                 if done.any():
                     hit = active[esc]
+                    hit_n, hit_m2 = n, m2[esc]
+                    if n - tested > 1 and hit.size:
+                        # re-walk from the last test, which they passed, to the first failed one
+                        zr, cr = z_tested[esc], cc[esc] if c.ndim else c
+                        walked = []
+                        for _ in range(n - tested - 1):
+                            zr = zr * zr + cr
+                            walked.append(zr.real * zr.real + zr.imag * zr.imag)
+                        walked = np.stack(walked + [hit_m2])
+                        first = np.argmax(~(walked <= r2), axis=0)
+                        hit_n = tested + 1 + first
+                        hit_m2 = walked[first, np.arange(hit.size)]
                     status_t[hit] = OrbitStatus.ESCAPED
-                    iters_t[hit] = n
-                    ms = np.sqrt(m2[esc])
+                    iters_t[hit] = hit_n
+                    ms = np.sqrt(hit_m2)
                     mags_t[hit] = np.where(np.isnan(ms), np.inf, ms)
                     keep = ~done
                     active = active[keep]
@@ -145,6 +193,13 @@ def classify_grid(z0, c, params: IterParams, threads: int = 1):
                 if n & (n - 1) == 0 and n >= _CYCLE_CHECK_EVERY:
                     saved[active] = z
                     saved_n = n
+                if n == _CYCLE_CHECK_EVERY:  # blocks, if escape is permanent for all cells left
+                    block = _CYCLE_CHECK_EVERY if np.abs(cc).max(initial=0) <= c_bound else 1
+                if block > 1 and n >= _CYCLE_CHECK_EVERY:
+                    # untested steps follow; kept by reference, as they are out of place
+                    # (kept at every step, the extra live array slows tiles of block 1)
+                    z_tested = z
+                tested = n
                 # not in place: numpy's in-place complex square rounds differently at length 1
                 z = z * z + cc
             if active.size:

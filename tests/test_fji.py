@@ -459,3 +459,91 @@ def _kernel_peak(px):
 
 def test_kernel_memory_does_not_grow_with_the_frame():
     assert _kernel_peak(1024) <= 2 * _kernel_peak(256)
+
+
+def _c_bound(radius):
+    """The largest |c| for which the kernel tests for escape once per block."""
+    r2 = radius * radius
+    return r2 - radius - 1e-9 * r2
+
+
+def _backward_orbits(c, radius, depth):
+    """Seeds whose exact orbits first pass the radius after 1, 2, ..., depth
+    steps: backward iteration z -> +-sqrt(z - c) from points beyond it."""
+    seeds = []
+    for w in 1.5 * radius * np.exp(2j * np.pi * np.array([0.1, 0.6])):
+        for sign in (1, -1):
+            z = w
+            for _ in range(depth):
+                z = sign * np.sqrt(z - c)
+                seeds.append(z)
+    return np.array(seeds)
+
+
+@pytest.mark.parametrize("radius", [2.0, 2.5, 10.0, 1e6])
+def test_classify_grid_equals_full_budget_kernel_at_the_edge_of_the_c_bound(radius, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    bound = _c_bound(radius)
+    # seeds escaping at every offset of the second block, and (c = 0.25, parabolic)
+    # in the last, partial block of a 203-step budget
+    mixed = [(_backward_orbits(c, radius, 20), c) for c in (-0.75 + 0.1j, 0.3 + 0.5j)]
+    mixed.append((0.5 + 1 / np.linspace(150, 230, 81), 0.25))
+    for edge in (bound, np.nextafter(bound, np.inf)):
+        assert np.abs(np.complex128(-edge)) == edge
+        cells = mixed + [(_backward_orbits(-edge, radius, 20), -edge)]
+        z0 = np.concatenate([z for z, _ in cells]).astype(np.complex128)
+        per_cell = np.concatenate([np.full(z.size, c, dtype=np.complex128) for z, c in cells])
+        for c in (np.complex128(-edge), per_cell):
+            for max_iter in (1, 2, 9, 17, 203):
+                params = IterParams(max_iter, radius)
+                ref = _full_budget_kernel(z0, c, params)
+                if c.ndim and max_iter >= 17:
+                    escaped = set(ref[1][ref[0] == OrbitStatus.ESCAPED].tolist())
+                    assert escaped >= set(range(9, 17)) | set(range(200, max_iter))
+                for tile in (1, 97):
+                    monkeypatch.setattr(fji, "_TILE_CELLS", tile)
+                    for threads in (1, 3):
+                        _assert_same_bytes(classify_grid(z0, c, params, threads=threads), ref)
+
+
+def test_orbit_that_passes_the_radius_and_comes_back_inside_equals_the_reference():
+    # |c| > r^2 - r: escape is not permanent, so every index must be tested
+    c, params = np.complex128(-2.1), IterParams(40, 2.0)
+    seeds = []
+    for k in range(9, 16):
+        for w in (-2.01, -2.05, -2.02 + 0.05j):
+            z = np.complex128(w)
+            for _ in range(k):
+                z = -np.sqrt(z - c)  # the preimage near -1.03, inside the radius
+            seeds.append(z)
+    seeds = np.array(seeds)
+    ref = _full_budget_kernel(seeds, c, params)
+    z = seeds
+    for _ in range(16):
+        z = z * z + c
+    back = np.abs(z) <= 2  # inside again at index 16, the end of the block
+    assert set(ref[1][back & (ref[0] == OrbitStatus.ESCAPED)].tolist()) == set(range(9, 16))
+    _assert_same_bytes(classify_grid(seeds, c, params), ref)
+
+
+@pytest.mark.parametrize("radius", [2.0, 2.5, 10.0, 1e3, 1e6])
+def test_escape_is_permanent_for_c_within_the_bound(radius):
+    # seeds a few ulps past the radius whose computed m2 fails the test, and a c
+    # pointing against z^2: the next m2 must fail it too
+    rng = np.random.default_rng(15)
+    r2 = radius * radius
+    theta = rng.uniform(0, 2 * np.pi, 10 ** 6)
+    mag = radius + rng.integers(1, 5, theta.size) * np.spacing(radius)
+    z = mag * np.cos(theta) + 1j * mag * np.sin(theta)
+    z = z[~(z.real * z.real + z.imag * z.imag <= r2)]
+    direction = -(z * z) / np.abs(z * z)
+
+    def next_m2(c_abs):
+        c = c_abs * direction
+        within = np.abs(c) <= c_abs
+        w = z[within] * z[within] + c[within]
+        return w.real * w.real + w.imag * w.imag
+
+    assert not np.any(next_m2(_c_bound(radius)) <= r2)
+    if radius > 2:  # without the margin, rounding brings some back inside
+        assert np.any(next_m2(r2 - radius) <= r2)
