@@ -12,7 +12,8 @@ orbit diverges.
 forward_image is the independent route to the same set: it pushes every
 Bounded source pixel through f with stratified supersampling and splats
 onto nearest destination pixels, one sub-pixel offset of one shared tile
-of centers (core._TILE_CELLS) at a time. When f stretches distances
+of centers (core._TILE_CELLS) at a time, skipping the cells the map
+proves land outside the destination window. When f stretches distances
 by at most l2, supersampling at source pitch / s keeps the splat spacing
 below the destination pitch whenever l2 * src_pitch / s <= dst_pitch.
 """
@@ -60,6 +61,9 @@ def forward_image(src_field: RasterField, m: MapSpec, dst_grid: GridSpec,
     domain marks the nearest destination pixel Bounded. Unmarked cells are
     Escaped(0). Marking is idempotent, so overlapping splats are harmless
     and each tile's sub-pixel offsets are splatted in passes of their own.
+    Cells that m._misses proves land wholly outside the window are dropped
+    first; every other sample is the same elementwise evaluation as before,
+    so the mask is the one splatting every cell gives.
     """
     if supersample < 1:
         raise ValueError("supersample must be >= 1")
@@ -67,11 +71,16 @@ def forward_image(src_field: RasterField, m: MapSpec, dst_grid: GridSpec,
 
     src = src_field.grid
     centers = src.points()[src_field.bounded_mask()]
+    # the window widened by one destination pixel, which absorbs pixels_hit's rounding
+    half_w, half_h = dst_grid.width / 2 + dst_grid.dx, dst_grid.height / 2 + dst_grid.dy
+    c = dst_grid.center
+    box = (c.real - half_w, c.real + half_w, c.imag - half_h, c.imag + half_h)
 
     marks = out.status.reshape(-1)
     off = (np.arange(supersample) + 0.5) / supersample - 0.5
     for lo in range(0, centers.size, _TILE_CELLS):
         tile = centers[lo:lo + _TILE_CELLS]
+        tile = tile[~m._misses(tile, src.half_pixel_diag, box)]
         for oy in off * src.dy:
             for ox in off * src.dx:
                 img = eval_forward(m, tile + complex(ox, oy))

@@ -45,6 +45,7 @@ class PaletteRule:
         """RGB image (px_h, px_w, 3) as one ``take`` from a table: the ramp at
         u = (k + 1) / (hi + 1) for each escape index k in [lo, hi], the range
         over Escaped cells, then a black (Bounded) and a magenta (Invalid) row.
+        A ramp row that rounds to black is drawn (1, 1, 1) instead.
         Fields the package makes have escape indices in [0, max_iter), so the
         table has at most max_iter ramp rows, no more than the kernel ran;
         a negative index raises ValueError."""
@@ -55,8 +56,9 @@ class PaletteRule:
             raise ValueError(f"escape indices must be >= 0, got {lo}")
         u = (np.arange(lo, hi + 1).astype(float) + 1.0) / (hi + 1.0)
         pos, rgb = zip(*self.stops)
-        ramp = np.stack([np.interp(u, pos, channel) for channel in zip(*rgb)], axis=-1)
-        table = np.rint(np.concatenate([ramp, [(0, 0, 0), INVALID_RGB]])).astype(np.uint8)
+        ramp = np.rint(np.stack([np.interp(u, pos, channel) for channel in zip(*rgb)], axis=-1))
+        ramp[~ramp.any(axis=-1)] = 1  # one step off black, so no Escaped cell looks Bounded
+        table = np.concatenate([ramp, [(0, 0, 0), INVALID_RGB]]).astype(np.uint8)
         code = np.where(escaped, field.escape_iter - lo,
                         np.where(field.status == OrbitStatus.INVALID, u.size + 1, u.size))
         return table.take(code, axis=0)

@@ -1,7 +1,9 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractaldyn.analysis import compare_masks
 from fractaldyn.core import GridSpec, OrbitStatus, RasterField
@@ -196,6 +198,116 @@ def test_forward_image_memory_does_not_grow_with_supersample():
             tracemalloc.stop()
 
     assert peak(8) <= 2 * peak(1)
+
+
+def arccos_boxes():
+    """Boxes (re_lo, re_hi, im_lo, im_hi) of every shape the cull has to
+    handle: anywhere, reaching u <= 0 or u >= pi, thin strips around v = 0,
+    and far from the image (past cosh's overflow at |v| > 710 too)."""
+    ordered = lambda lo, hi: st.tuples(st.floats(lo, hi), st.floats(lo, hi)).map(sorted)
+
+    def box(re, im):
+        return st.tuples(re, im).map(lambda b: (*b[0], *b[1]))
+
+    return st.one_of(
+        box(ordered(-1.0, 4.5), ordered(-4.0, 4.0)),
+        box(st.tuples(st.floats(-1.0, 0.0), st.floats(0.0, 0.6)), ordered(-2.0, 2.0)),
+        box(st.tuples(st.floats(2.5, math.pi), st.floats(math.pi, 4.0)), ordered(-2.0, 2.0)),
+        box(ordered(-0.5, 3.7), st.tuples(st.floats(-1e-6, 0.0), st.floats(0.0, 1e-6))),
+        box(ordered(-0.5, 3.7), st.just((0.0, 0.0))),
+        box(ordered(10.0, 20.0), ordered(-3.0, 3.0)),
+        box(ordered(-1.0, 4.0), ordered(50.0, 800.0)),
+    )
+
+
+def arccos_centers(rng, box, radius, n=48):
+    """Centers near the box's preimage (the inverse map of points in the box
+    widened by 0.3, so many cells straddle its edge), random ones, centers
+    within radius of the pole, exactly 0 and NaN."""
+    re_lo, re_hi, im_lo, im_hi = box
+    v_lo, v_hi = np.clip((im_lo, im_hi), -30.0, 30.0)
+    w = rng.uniform(re_lo - 0.3, re_hi + 0.3, n) + 1j * rng.uniform(v_lo - 0.3, v_hi + 0.3, n)
+    with np.errstate(all="ignore"):
+        near = 1.0 / (1.0 + np.cos(w))
+    anywhere = rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n)
+    pole = radius * rng.uniform(0, 1, 8) * np.exp(2j * np.pi * rng.uniform(0, 1, 8))
+    rim = radius * (1 + rng.uniform(1e-6, 3, 8)) * np.exp(2j * np.pi * rng.uniform(0, 1, 8))
+    return np.concatenate([near[np.isfinite(near)], anywhere, pole, rim,
+                           [0j, complex(np.nan, 0.0), complex(0.0, np.nan)]])
+
+
+def disc_offsets(radius, rng, n):
+    """Per center: the s^2 sub-pixel offsets, s = 1..8, of a square pixel
+    with half diagonal radius (added to the center as forward_image adds
+    them), then 256 random points of the disc; shape (n, 460)."""
+    d = radius * math.sqrt(2.0)
+    lattice = [ox + 1j * oy for s in range(1, 9) for ox in ((np.arange(s) + 0.5) / s - 0.5) * d
+               for oy in ((np.arange(s) + 0.5) / s - 0.5) * d]
+    rho = radius * np.sqrt(rng.uniform(0, 1, (n, 256)))
+    disc = rho * np.exp(2j * np.pi * rng.uniform(0, 1, (n, 256)))
+    return np.concatenate([np.broadcast_to(lattice, (n, len(lattice))), disc], axis=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(box=arccos_boxes(), radius=st.floats(1e-6, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_arccos_misses_is_sound(box, radius, seed):
+    # a cell the cull drops has no sample, lattice or random, whose image
+    # lands in the box
+    m = ArccosReciprocal()
+    rng = np.random.default_rng(seed)
+    centers = arccos_centers(rng, box, radius)
+    miss = m._misses(centers, radius, box)
+    assert not miss[-2:].any()  # NaN never misses
+    assert not miss[np.abs(centers) <= radius].any()
+    dropped = centers[miss]
+    w = eval_forward(m, dropped[:, np.newaxis] + disc_offsets(radius, rng, dropped.size))
+    re_lo, re_hi, im_lo, im_hi = box
+    inside = (re_lo <= w.real) & (w.real <= re_hi) & (im_lo <= w.imag) & (w.imag <= im_hi)
+    assert not inside.any(), (dropped[inside.any(axis=1)][:3], w[inside][:3])
+
+
+def padded_box(dst):
+    """The box forward_image culls against: the window plus one pixel."""
+    half_w, half_h = dst.width / 2 + dst.dx, dst.height / 2 + dst.dy
+    return (dst.center.real - half_w, dst.center.real + half_w,
+            dst.center.imag - half_h, dst.center.imag + half_h)
+
+
+@pytest.mark.parametrize("dst", [
+    GridSpec(2.2 + 0j, 1.4, 2.4, 48, 64),            # the verify workload's arccos window
+    GridSpec(0.1 + 0j, 0.4, 1.0, 32, 40),            # reaches u < 0
+    GridSpec(complex(math.pi - 0.1, 0.3), 0.4, 1.0, 32, 40),  # reaches u > pi
+    GridSpec(1.5 + 0j, 3.0, 0.02, 64, 8),            # a thin strip around v = 0
+    GridSpec(0.8 + 1.2j, 0.5, 0.5, 32, 32),
+], ids=["verify", "u_below_0", "u_above_pi", "strip", "corner"])
+def test_forward_image_with_the_arccos_cull_equals_reference(dst):
+    # windows where the cull drops some cells and keeps others
+    m = ArccosReciprocal()
+    for src in (RasterField.filled(GridSpec(0j, 3.0, 3.0, 65, 65), OrbitStatus.BOUNDED),
+                render_julia(GridSpec(0j, 3.0, 3.0, 96, 96), 0.25j, P)):
+        centers = src.grid.points()[src.bounded_mask()]
+        miss = m._misses(centers, src.grid.half_pixel_diag, padded_box(dst))
+        assert 0 < miss.sum() < miss.size
+        for s in (1, 3, 8):
+            assert fields_equal(forward_image(src, m, dst, supersample=s),
+                                splat_reference(src, m, dst, s)), s
+
+
+def test_fmt_arccos_geometry_culls_most_bounded_cells():
+    # the verify workload's arccos leg: if the cull stopped dropping cells the
+    # splat would still be right but some four times slower
+    src = render_julia(GridSpec(0j, 3.0, 3.0, 1024, 1024), 0.25j, IterParams(500, 2.0))
+    dst = GridSpec(2.2 + 0j, 1.4, 2.4, 512, 512)
+    centers = src.grid.points()[src.bounded_mask()]
+    miss = ArccosReciprocal()._misses(centers, src.grid.half_pixel_diag, padded_box(dst))
+    assert miss.mean() >= 0.70
+
+
+def test_maps_without_a_cull_miss_nowhere():
+    centers = np.array([0j, 5 + 5j, complex(np.nan, 0.0)])
+    far = (100.0, 101.0, 100.0, 101.0)
+    for m in (Identity(), Affine(2, 1), ArcsinRoot5(), ReciprocalSqrt()):
+        assert not m._misses(centers, 0.1, far).any()
 
 
 def test_fmt_equality_affine_on_aligned_image_grid(basilica_512):

@@ -64,9 +64,23 @@ def test_grayscale_and_mono_ramps_are_pinned(n_max):
     f = RasterField.filled(GridSpec(0j, 2.0, 1.0, n.size, 1), OrbitStatus.ESCAPED)
     f.escape_iter[0] = n
     u = (n + 1.0) / (n_max + 1.0)
-    gray = np.rint(255.0 * u).astype(np.uint8)
+    # from n_max 509 on, index 0 rounds to 0 and is drawn 1, off the Bounded black
+    gray = np.maximum(np.rint(255.0 * u), 1).astype(np.uint8)
     assert get_palette("grayscale").colorize(f).tobytes() == np.repeat(gray, 3).tobytes()
     assert np.all(get_palette("mono").colorize(f) == 255)
+
+
+@pytest.mark.parametrize("n_max", [508, 509, 510, 1000, 100_000])
+def test_escaped_cells_are_never_drawn_in_the_bounded_black(n_max):
+    f = RasterField.filled(GridSpec(0j, 2.0, 1.0, 3, 1), OrbitStatus.ESCAPED)
+    f.escape_iter[0] = (0, 1, n_max)
+    f.status[0, 1] = OrbitStatus.BOUNDED
+    fade = PaletteRule("fade", ((0.0, (0, 0, 0)), (1.0, (0, 0, 255))))
+    for palette in (*PALETTES.values(), fade):
+        img = palette.colorize(f)
+        assert img[0, 0].any() and not img[0, 1].any(), palette.name
+    # grayscale's Escaped(0) rounds to 1 up to n_max 508 and is lifted to 1 beyond
+    assert tuple(get_palette("grayscale").colorize(f)[0, 0]) == (1, 1, 1)
 
 
 def _per_cell_colorize(palette, field):
@@ -81,6 +95,7 @@ def _per_cell_colorize(palette, field):
     ramp = np.empty(u.shape + (3,), dtype=np.uint8)
     for ch in range(3):
         ramp[..., ch] = np.rint(np.interp(u, pos, rgb[:, ch])).astype(np.uint8)
+    ramp[~ramp.any(axis=-1)] = 1  # an Escaped cell is never the Bounded black
     img = np.zeros(status.shape + (3,), dtype=np.uint8)
     img[escaped] = ramp[escaped]
     img[status == OrbitStatus.INVALID] = INVALID_RGB
