@@ -124,7 +124,13 @@ def compare_masks(a: RasterField, b: RasterField) -> MaskComparison:
     jaccard = inter / union
 
     # Exact Euclidean distance transforms (Maurer et al. 2003): each cell's
-    # distance to the nearest cell of the other mask.
+    # distance to the nearest cell of the other mask. Every cell of either
+    # mask lies in the bounding box of their union, so the transforms run
+    # over that box alone with the same distances.
+    union = ma | mb
+    rows, cols = np.flatnonzero(union.any(axis=1)), np.flatnonzero(union.any(axis=0))
+    box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    ma, mb = ma[box], mb[box]
     d_ab = distance_transform_edt(~mb)[ma].max()
     d_ba = distance_transform_edt(~ma)[mb].max()
     return MaskComparison(float(jaccard), float(max(d_ab, d_ba)))

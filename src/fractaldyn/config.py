@@ -265,6 +265,11 @@ def validate_config(raw: dict, text: str = "") -> SceneConfig:
     if (command == "verify-fmt" and "dst_grid" not in values
             and not isinstance(values["map"], (Identity, Affine))):
         ctx.fail("map", "dst_grid is required for non-affine maps")
+    # past |c| an escaped orbit of z^2 + c can come back (Milnor, section 9)
+    radius = values.get("iter_params", IterParams()).escape_radius
+    if "c" in values and abs(values["c"]) > radius:
+        ctx.fail("c", f"|c| = {abs(values['c']):.6g} exceeds escape_radius {radius:g}; "
+                      "escape is permanent only for escape_radius >= max(2, |c|)")
     return SceneConfig(**values)
 
 

@@ -134,11 +134,19 @@ class GridSpec:
         ys = self.center.imag - (np.arange(self.px_h) + 0.5 - self.px_h / 2) * self.dy
         return xs[np.newaxis, :] + 1j * ys[:, np.newaxis]
 
+    def _pixel_coords(self, re, im):
+        """Pixel coordinates (u, v) of the points re + i*im, where pixel
+        (i, j) spans [i, i+1) x [j, j+1) (the last column and row also take
+        u = px_w and v = px_h). Each is a subtraction, a division
+        by the pitch and an addition, each rounded monotonically, so u never
+        decreases as re grows and v never decreases as im falls."""
+        return ((re - self.center.real) / self.dx + self.px_w / 2,
+                (self.center.imag - im) / self.dy + self.px_h / 2)
+
     def pixel_of(self, z: complex) -> tuple[int, int] | None:
         """Pixel whose center is nearest to z, or None outside the window."""
         z = require_finite(z, "z")
-        u = (z.real - self.center.real) / self.dx + self.px_w / 2
-        v = (self.center.imag - z.imag) / self.dy + self.px_h / 2
+        u, v = self._pixel_coords(z.real, z.imag)
         if not (0.0 <= u <= self.px_w and 0.0 <= v <= self.px_h):
             return None
         i = min(int(u), self.px_w - 1)
@@ -151,8 +159,7 @@ class GridSpec:
         truncation is floor on u, v >= 0, so only in-window points are
         indexed."""
         with np.errstate(over="ignore", invalid="ignore"):
-            u = (z.real - self.center.real) / self.dx + self.px_w / 2
-            v = (self.center.imag - z.imag) / self.dy + self.px_h / 2
+            u, v = self._pixel_coords(z.real, z.imag)
             inside = (u >= 0.0) & (u <= self.px_w) & (v >= 0.0) & (v <= self.px_h)
         i = np.minimum(u[inside].astype(np.int64), self.px_w - 1)
         j = np.minimum(v[inside].astype(np.int64), self.px_h - 1)

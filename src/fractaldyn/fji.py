@@ -2,8 +2,9 @@
 
 A seed is Bounded when its orbit magnitude never exceeds the escape
 radius within the iteration budget, Escaped(n) when |z_n| first exceeds
-it at index n (the seed itself counts as index 0). With radius >= 2 and
-|c| <= 2 escape is permanent, so the escape index is well defined.
+it at index n (the seed itself counts as index 0). With radius >=
+max(2, |c|) escape is permanent, so the escape index is well defined;
+the CLI rejects a fixed c with |c| above the radius.
 Magnitudes are compared squared to avoid overflow in the final hypot;
 arithmetic overflow to a non-finite value reads as an escape at that
 index.

@@ -12,21 +12,24 @@ orbit diverges.
 forward_image is the independent route to the same set: it pushes every
 Bounded source pixel through f with stratified supersampling and splats
 onto nearest destination pixels, one sub-pixel offset of one shared tile
-of centers (core._TILE_CELLS) at a time, skipping the cells the map
-proves land outside the destination window. When f stretches distances
-by at most l2, supersampling at source pitch / s keeps the splat spacing
-below the destination pitch whenever l2 * src_pitch / s <= dst_pitch.
+of centers (core._TILE_CELLS) at a time. It skips the cells the map
+proves land outside the destination window, and the samples it proves
+could only mark pixels that are marked already or lie outside it. When f
+stretches distances by at most l2, supersampling at source pitch / s
+keeps the splat spacing below the destination pitch whenever
+l2 * src_pitch / s <= dst_pitch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import _TILE_CELLS, GridSpec, OrbitStatus, RasterField, require_finite
 from .fji import IterParams, classify_grid, render_julia
-from .maps import MapSpec, eval_forward, eval_inverse
+from .maps import _ROUNDING, MapSpec, eval_forward, eval_inverse
 
 
 def fmi_julia(grid: GridSpec, c: complex, m: MapSpec, params: IterParams = IterParams(),
@@ -52,6 +55,48 @@ def fmi_mandelbrot(grid: GridSpec, m: MapSpec, params: IterParams = IterParams()
     return RasterField(grid, status, iters, mags)
 
 
+def _offset_groups(s: int) -> list:
+    """The s x s sub-pixel offset indices split into at most 2 x 2 groups of
+    adjacent ones: (representative, other members) per group, indices as
+    (x, y). The representative is the member nearest the group's centre."""
+    runs = [r for r in (range((s + 1) // 2), range((s + 1) // 2, s)) if r]
+    groups = []
+    for ry in runs:
+        for rx in runs:
+            rep = (rx[(len(rx) - 1) // 2], ry[(len(ry) - 1) // 2])
+            groups.append((rep, [(i, j) for j in ry for i in rx if (i, j) != rep]))
+    return groups
+
+
+def _covered(marks: np.ndarray, grid: GridSpec, img: np.ndarray, radius: np.ndarray):
+    """True where every point within radius of img lies outside grid's
+    window, or in pixels that are all marked already and span at most
+    3 x 3. NaN never counts as covered."""
+    if not np.isfinite(radius).any():
+        return np.zeros(img.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # widened so that the rounded corners lie outside the exact disc's box
+        r = radius + _ROUNDING * (radius + np.abs(img))
+        u_lo, v_hi = grid._pixel_coords(img.real - r, img.imag - r)
+        u_hi, v_lo = grid._pixel_coords(img.real + r, img.imag + r)
+        covered = (u_hi < 0) | (u_lo > grid.px_w) | (v_hi < 0) | (v_lo > grid.px_h)
+        # pixels_hit indexes only u in [0, px_w] and v in [0, px_h]
+        np.maximum(u_lo, 0.0, out=u_lo)
+        np.maximum(v_lo, 0.0, out=v_lo)
+        np.minimum(u_hi, grid.px_w, out=u_hi)
+        np.minimum(v_hi, grid.px_h, out=v_hi)
+        near = np.flatnonzero(~covered & (u_hi - u_lo < 3) & (v_hi - v_lo < 3))
+    i0, i1, j0, j1 = (np.minimum(a[near].astype(np.int64), n - 1) for a, n in (
+        (u_lo, grid.px_w), (u_hi, grid.px_w), (v_lo, grid.px_h), (v_hi, grid.px_h)))
+    full = (i1 - i0 <= 2) & (j1 - j0 <= 2)
+    for dj in range(3):
+        for di in range(3):
+            cell = np.minimum(j0 + dj, j1) * grid.px_w + np.minimum(i0 + di, i1)
+            full &= marks[cell] == OrbitStatus.BOUNDED
+    covered[near[full]] = True
+    return covered
+
+
 def forward_image(src_field: RasterField, m: MapSpec, dst_grid: GridSpec,
                   supersample: int = 3) -> RasterField:
     """Push the Bounded cells of src_field through f onto dst_grid.
@@ -61,9 +106,18 @@ def forward_image(src_field: RasterField, m: MapSpec, dst_grid: GridSpec,
     domain marks the nearest destination pixel Bounded. Unmarked cells are
     Escaped(0). Marking is idempotent, so overlapping splats are harmless
     and each tile's sub-pixel offsets are splatted in passes of their own.
-    Cells that m._misses proves land wholly outside the window are dropped
-    first; every other sample is the same elementwise evaluation as before,
-    so the mask is the one splatting every cell gives.
+
+    Two kinds of sample are never evaluated. Cells that m._misses proves
+    land wholly outside the window are dropped first. Then the offsets are
+    split into at most 2 x 2 groups (_offset_groups), and each group's
+    representative is splatted for every cell. A group's other members,
+    all within d of the representative, are evaluated only for the cells
+    where the representative's image w is not _covered: the disc around w
+    of radius L * d, L from m._lipschitz, holds the computed image of every
+    member, and if its pixels lie outside the window or are all marked
+    already, no member can mark a new pixel. Marks only grow, and every
+    evaluated sample is the same elementwise evaluation as before, so the
+    mask is the one splatting every sample of every cell gives.
     """
     if supersample < 1:
         raise ValueError("supersample must be >= 1")
@@ -78,13 +132,26 @@ def forward_image(src_field: RasterField, m: MapSpec, dst_grid: GridSpec,
 
     marks = out.status.reshape(-1)
     off = (np.arange(supersample) + 0.5) / supersample - 0.5
+    xs, ys = off * src.dx, off * src.dy
+    groups = _offset_groups(supersample)
     for lo in range(0, centers.size, _TILE_CELLS):
         tile = centers[lo:lo + _TILE_CELLS]
         tile = tile[~m._misses(tile, src.half_pixel_diag, box)]
-        for oy in off * src.dy:
-            for ox in off * src.dx:
-                img = eval_forward(m, tile + complex(ox, oy))
-                marks[dst_grid.pixels_hit(img)] = OrbitStatus.BOUNDED
+        images = []
+        for (rx, ry), _ in groups:
+            images.append(eval_forward(m, tile + complex(xs[rx], ys[ry])))
+            marks[dst_grid.pixels_hit(images[-1])] = OrbitStatus.BOUNDED
+        for ((rx, ry), members), img in zip(groups, images):
+            if not members:
+                continue
+            reach = max(math.hypot(xs[i] - xs[rx], ys[j] - ys[ry]) for i, j in members)
+            rep = tile + complex(xs[rx], ys[ry])
+            # allows for rounding in forming the samples and in reach itself
+            rho = reach + _ROUNDING * (reach + np.abs(rep))
+            rest = tile[~_covered(marks, dst_grid, img, m._lipschitz(rep, rho) * rho)]
+            for i, j in members:
+                hit = dst_grid.pixels_hit(eval_forward(m, rest + complex(xs[i], ys[j])))
+                marks[hit] = OrbitStatus.BOUNDED
     return out
 
 

@@ -33,7 +33,7 @@ from .flows import FlowSpec, flow_apply, flow_inverse
 
 POLE_EXCLUSION = 1e-9
 MIN_SEPARATION = 1e-12
-_ROUNDING = 2.0 ** -30  # relative allowance for rounding in MapSpec._misses bounds
+_ROUNDING = 2.0 ** -30  # relative allowance for rounding in the _misses and _lipschitz bounds
 
 
 class InsufficientSamples(RuntimeError):
@@ -56,6 +56,14 @@ class MapSpec:
         _forward_array as numpy computes it, outside box = (re_lo, re_hi,
         im_lo, im_hi). A map without such a bound misses nowhere."""
         return np.zeros(centers.shape, dtype=bool)
+
+    def _lipschitz(self, z: np.ndarray, rho) -> np.ndarray:
+        """An upper bound L on |f'| over the disc of radius rho > 0 around
+        each z, widened for rounding: every point of the disc whose image
+        under _forward_array, as numpy computes it, is not NaN has that image
+        within L * rho of the computed image of z. inf where no bound is
+        known; a map without such a bound has none anywhere."""
+        return np.full(z.shape, np.inf)
 
     def iterated(self, k: int) -> "MapSpec":
         """The k-fold composition of this map with itself, where it has a
@@ -182,6 +190,40 @@ class ArccosReciprocal(MapSpec):
             lip += _ROUNDING * (lip + big * (alpha + a_hi))
             # written so that a NaN anywhere never misses
             return (beta - lip > b_hi) | (beta + lip < b_lo) | (alpha - lip > a_hi)
+
+    def _lipschitz(self, z, rho):
+        """|f'(p)| = 1/(|p| sqrt|1 - 2p|), bounded over the disc around z.
+
+        f'(p) = 1/(p^2 sqrt(1 - x^2)) with x = 1/p - 1, and 1 - x^2 =
+        (2p - 1)/p^2. f is analytic off its pole and cut, real p <= 1/2
+        (x on arccos's cuts x <= -1 or x >= 1). Let r = |z|, t = |1 - 2z|
+        and h = rho + 2**-30 (1 + r + rho)^2. Where r > h, t > 2h and
+        |im z| > h or re z > 1/2 + h, the disc of radius h misses the pole
+        and the cut and every p in it has |p| >= r - h and |1 - 2p| >=
+        t - 2h, so L0 = 1/((r - h) sqrt(t - 2h)) bounds |f'| there and, the
+        disc being convex, |f(p) - f(z)| <= L0 |p - z|. Elsewhere L = inf.
+
+        Rounding. The computed x of a sample p is within a few ulp of
+        2/|p| + 1 of x(p). Between the two, every point is x(q) for some q
+        within a few ulp of (1 + |p|)^2 of p, so inside the disc of radius
+        h, where |dw/dx| = |q| / sqrt|2q - 1| = |q|^2 |f'(q)| <= (r + h)^2
+        L0. np.arccos is within a few ulp of |w| <= pi + cosh v <= 6 + 1/|p|
+        of the exact arccos of the computed x. So each computed image is
+        within E = a few ulp of 6 + 1/(r - h) + (1 + r + h)^2 L0 of the
+        exact one (a sample within 1e-9 of the pole is NaN and marks
+        nothing), and two computed images within 2E + L0 rho of each other.
+        Adding 2**-30 (6 + 1/(r - h) + (1 + r + h)^2 L0) / rho to L0 covers
+        2E, and the few ulp L0 rounds by, some ten thousand times over.
+        """
+        with np.errstate(all="ignore"):
+            r = np.abs(z)
+            h = rho + _ROUNDING * (1.0 + r + rho) ** 2
+            near = r - h
+            gap = np.hypot(1.0 - 2.0 * z.real, 2.0 * z.imag) - 2.0 * h
+            clear = (near > 0) & (gap > 0) & ((np.abs(z.imag) > h) | (z.real > 0.5 + h))
+            lip = 1.0 / (near * np.sqrt(gap))
+            lip += _ROUNDING * (6.0 + 1.0 / near + (1.0 + r + h) ** 2 * lip) / rho
+            return np.where(clear, lip, np.inf)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.ndimage import distance_transform_edt
 
 from fractaldyn.analysis import (EmptyMaskError, InsufficientScalesError,
                                  MasksUndefinedError, box_counting_dimension,
@@ -102,6 +105,63 @@ def test_compare_masks_symmetric():
     ab = compare_masks(a, b)
     ba = compare_masks(b, a)
     assert ab.jaccard == ba.jaccard and ab.hausdorff_px == ba.hausdorff_px
+
+
+def uncropped_comparison(ma, mb):
+    """Jaccard and Hausdorff distance with the transforms run over the
+    whole frame."""
+    jaccard = (ma & mb).sum() / (ma | mb).sum()
+    return jaccard, max(distance_transform_edt(~mb)[ma].max(),
+                        distance_transform_edt(~ma)[mb].max())
+
+
+def status_arrays(shape):
+    """uint8 status arrays of one shape: mostly Escaped with some Bounded
+    and Invalid cells, often along a frame edge or in one corner."""
+    cell = st.sampled_from([OrbitStatus.ESCAPED] * 3 + [OrbitStatus.BOUNDED] * 2
+                           + [OrbitStatus.INVALID])
+
+    def edged(arr, edges):
+        for edge in edges:
+            arr[edge] = OrbitStatus.BOUNDED
+        return arr
+
+    edges = st.lists(st.sampled_from([np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1],
+                                      np.s_[0, 0], np.s_[-1, -1], np.s_[:2, -2:]]), max_size=2)
+    sparse = st.lists(st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1)),
+                      min_size=1, max_size=4)
+
+    def dots(points):
+        arr = np.full(shape, OrbitStatus.ESCAPED, dtype=np.uint8)
+        for j, i in points:
+            arr[j, i] = OrbitStatus.BOUNDED
+        return arr
+
+    dense = arrays(np.uint8, shape, elements=cell)
+    return st.tuples(st.one_of(dense, sparse.map(dots)), edges).map(lambda a: edged(*a))
+
+
+@st.composite
+def status_pairs(draw):
+    shape = (draw(st.integers(1, 24)), draw(st.integers(1, 24)))
+    return draw(status_arrays(shape)), draw(status_arrays(shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=status_pairs())
+def test_compare_masks_equals_the_uncropped_transforms(pair):
+    # the transforms run over the union's bounding box only
+    sa, sb = pair
+    grid = GridSpec(0j, 1.0, 1.0, sa.shape[1], sa.shape[0])
+    zeros = np.zeros(sa.shape)
+    a = RasterField(grid, sa, zeros.astype(np.int32), zeros)
+    b = RasterField(grid, sb, zeros.astype(np.int32), zeros)
+    valid = (sa != OrbitStatus.INVALID) & (sb != OrbitStatus.INVALID)
+    ma, mb = (sa == OrbitStatus.BOUNDED) & valid, (sb == OrbitStatus.BOUNDED) & valid
+    assume(ma.any() and mb.any())
+    jaccard, hausdorff = uncropped_comparison(ma, mb)
+    cmp = compare_masks(a, b)
+    assert cmp.jaccard == jaccard and cmp.hausdorff_px == hausdorff
 
 
 def test_compare_masks_requires_same_dims():

@@ -92,6 +92,43 @@ def test_unreadable_config_returns_one(tmp_path, capsys, doc):
     assert "config error: unreadable config" in capsys.readouterr().err
 
 
+def fixed_c_docs(c, radius, out):
+    """A scene per command that iterates one fixed c."""
+    grid = {"center": [0, 0], "width": 5.0, "height": 5.0, "px_w": 64, "px_h": 64}
+    base = {"grid": grid, "c": c, "iter": {"max_iter": 3, "escape_radius": radius}}
+    return [dict(base, output=str(out / name), **doc) for name, doc in [
+        ("j", {"command": "julia"}),
+        ("f", {"command": "fmi-julia", "map": {"kind": "affine", "a": [0.5, 0]}}),
+        ("d", {"command": "discrete-traj", "map": {"kind": "affine", "a": [0.5, 0]},
+               "k_max": 1}),
+        ("t", {"command": "flow-traj", "flow": {"kind": "limit_cycle"}, "t_list": [0.1]}),
+        ("v", {"command": "verify-fmt", "map": {"kind": "affine", "a": [2, 0]}}),
+        ("m", {"command": "dimension", "boundary": False}),
+    ]]
+
+
+@pytest.mark.parametrize("index", range(6),
+                         ids=["julia", "fmi-julia", "discrete-traj", "flow-traj",
+                              "verify-fmt", "dimension"])
+def test_fixed_c_beyond_the_escape_radius_returns_one(tmp_path, capsys, index):
+    # escape past r is permanent only for r >= max(2, |c|)
+    cfg = write_config(tmp_path, fixed_c_docs([2.1, 0], 2, tmp_path / "out")[index])
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "escape_radius" in err
+    cfg = write_config(tmp_path, fixed_c_docs([2.1, 0], 2.5, tmp_path / "out")[index])
+    assert main(["run", "--config", str(cfg)]) == 0
+
+
+def test_parameter_plane_commands_take_any_radius(tmp_path):
+    # the parameter plane has no fixed c to check
+    grid = {"center": [0, 0], "width": 5.0, "height": 5.0, "px_w": 16, "px_h": 16}
+    for doc in ({"command": "mandelbrot"},
+                {"command": "fmi-mandelbrot", "map": {"kind": "affine", "a": [2, 0]}}):
+        cfg = write_config(tmp_path, dict(doc, grid=grid, output=str(tmp_path / "out/p")))
+        assert main(["run", "--config", str(cfg)]) == 0
+
+
 def test_runtime_error_returns_two(tmp_path, capsys):
     # box counting needs >= 3 dyadic scales: 16px grid with max_box 4 has two
     cfg = write_config(tmp_path, {

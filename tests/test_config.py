@@ -317,6 +317,7 @@ def test_resolved_config_holds_the_command_defaults(doc):
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 pairs = st.lists(finite, min_size=2, max_size=2)
+fixed_c = st.lists(st.floats(-1.4, 1.4), min_size=2, max_size=2)  # |c| < 2 <= escape_radius
 counts = st.integers(1, 10 ** 30)
 grids = st.fixed_dictionaries({"center": pairs, "width": positive, "height": positive,
                                "px_w": counts, "px_h": counts})
@@ -357,28 +358,28 @@ def command_docs(command, required, **optional):
 big = st.integers(0, 10 ** 30)
 boxes = st.integers(2, 10 ** 30)
 COMMAND_DOCS = {
-    "julia": command_docs("julia", {"grid": grids, "c": pairs}, iter=iters),
+    "julia": command_docs("julia", {"grid": grids, "c": fixed_c}, iter=iters),
     "mandelbrot": command_docs("mandelbrot", {"grid": grids}, iter=iters),
-    "fmi-julia": command_docs("fmi-julia", {"grid": grids, "c": pairs, "map": maps},
+    "fmi-julia": command_docs("fmi-julia", {"grid": grids, "c": fixed_c, "map": maps},
                               iter=iters),
     "fmi-mandelbrot": command_docs("fmi-mandelbrot", {"grid": grids, "map": maps},
                                    iter=iters),
     "discrete-traj": command_docs(
-        "discrete-traj", {"grid": grids, "c": pairs, "map": maps, "k_max": big},
+        "discrete-traj", {"grid": grids, "c": fixed_c, "map": maps, "k_max": big},
         iter=iters, supersample=counts),
     "flow-traj": command_docs(
         "flow-traj",
-        {"grid": grids, "c": pairs, "flow": flows, "t_list": st.lists(finite, min_size=1)},
+        {"grid": grids, "c": fixed_c, "flow": flows, "t_list": st.lists(finite, min_size=1)},
         iter=iters),
-    "dimension": command_docs("dimension", {"grid": grids, "c": pairs}, iter=iters,
+    "dimension": command_docs("dimension", {"grid": grids, "c": fixed_c}, iter=iters,
                               boundary=st.booleans(), min_box=boxes, max_box=boxes),
     # dst_grid may be left out only for identity and affine maps
     "verify-fmt": command_docs(
-        "verify-fmt", {"grid": grids, "c": pairs, "map": maps, "dst_grid": grids},
+        "verify-fmt", {"grid": grids, "c": fixed_c, "map": maps, "dst_grid": grids},
         iter=iters, supersample=counts)
     | command_docs(
         "verify-fmt",
-        {"grid": grids, "c": pairs, "map": MAP_SPECS["identity"] | MAP_SPECS["affine"]},
+        {"grid": grids, "c": fixed_c, "map": MAP_SPECS["identity"] | MAP_SPECS["affine"]},
         iter=iters, supersample=counts),
     "zeno": command_docs("zeno", {"d0": positive, "t1": positive, "n": counts},
                          i0=big, px_w=counts, px_h=counts, min_box=boxes, max_box=boxes),

@@ -9,7 +9,8 @@ from fractaldyn.analysis import compare_masks
 from fractaldyn.core import GridSpec, OrbitStatus, RasterField
 from fractaldyn.fji import IterParams, render_julia, render_mandelbrot
 from fractaldyn.flows import LimitCycle, NumericRK4
-from fractaldyn.fmi import discrete_trajectory, fmi_julia, fmi_mandelbrot, forward_image
+from fractaldyn.fmi import (_covered, _offset_groups, discrete_trajectory, fmi_julia,
+                            fmi_mandelbrot, forward_image)
 from fractaldyn.maps import (Affine, ArccosReciprocal, ArcsinRoot5, FlowMap, Identity,
                              QuadraticParam, ReciprocalSqrt, eval_forward)
 
@@ -293,14 +294,138 @@ def test_forward_image_with_the_arccos_cull_equals_reference(dst):
                                 splat_reference(src, m, dst, s)), s
 
 
-def test_fmt_arccos_geometry_culls_most_bounded_cells():
-    # the verify workload's arccos leg: if the cull stopped dropping cells the
-    # splat would still be right but some four times slower
+@pytest.fixture(scope="module")
+def fmt_arccos():
+    """The verify workload's arccos leg: source field and destination grid."""
     src = render_julia(GridSpec(0j, 3.0, 3.0, 1024, 1024), 0.25j, IterParams(500, 2.0))
-    dst = GridSpec(2.2 + 0j, 1.4, 2.4, 512, 512)
+    return src, GridSpec(2.2 + 0j, 1.4, 2.4, 512, 512)
+
+
+def test_fmt_arccos_geometry_culls_most_bounded_cells(fmt_arccos):
+    # if the cull stopped dropping cells the splat would still be right but
+    # some four times slower
+    src, dst = fmt_arccos
     centers = src.grid.points()[src.bounded_mask()]
     miss = ArccosReciprocal()._misses(centers, src.grid.half_pixel_diag, padded_box(dst))
     assert miss.mean() >= 0.70
+
+
+def counted_samples(monkeypatch):
+    """A list that collects the size of every eval_forward call forward_image makes."""
+    sizes = []
+
+    def counting(m, z):
+        sizes.append(z.size)
+        return eval_forward(m, z)
+
+    monkeypatch.setattr("fractaldyn.fmi.eval_forward", counting)
+    return sizes
+
+
+def kept_cells(m, src, dst):
+    centers = src.grid.points()[src.bounded_mask()]
+    return int((~m._misses(centers, src.grid.half_pixel_diag, padded_box(dst))).sum())
+
+
+def test_fmt_arccos_geometry_evaluates_few_samples(fmt_arccos, monkeypatch):
+    # nearly every sample the cull keeps would re-mark a marked pixel; if the
+    # group skip stopped firing the splat would be some five times slower
+    src, dst = fmt_arccos
+    m = ArccosReciprocal()
+    sizes = counted_samples(monkeypatch)
+    forward_image(src, m, dst, supersample=8)
+    assert sum(sizes) <= 0.10 * 64 * kept_cells(m, src, dst)
+
+
+@pytest.mark.parametrize("img, radius, marked, expected", [
+    (2.5 + 5.5j, 0.4, [(2, 2)], True),
+    (2.5 + 5.5j, 0.4, [], False),
+    (2.5 + 5.5j, 1.4, [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)], True),
+    (2.5 + 5.5j, 1.4, [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)][:-1], False),
+    (2.2 + 5.5j, 1.3, [(i, j) for i in (0, 1, 2) for j in (1, 2, 3)], False),  # reaches i = 3
+    (-5 + 5j, 1.0, [], True),                   # wholly left of the window
+    (0.3 + 5.5j, 0.45, [(0, 2)], True),         # partly left of it
+    (complex(np.nan, 5.5), 0.4, [(2, 2)], False),
+    (2.5 + 5.5j, np.inf, [(i, j) for i in range(8) for j in range(8)], False),
+], ids=["one_pixel", "unmarked", "3x3", "3x3_less_one", "4_wide", "outside", "edge", "nan",
+        "no_bound"])
+def test_covered_needs_every_pixel_the_disc_can_reach_marked(img, radius, marked, expected):
+    # on this grid pixel (i, j) spans re in [i, i + 1) and im in (7 - j, 8 - j]
+    grid = GridSpec(4 + 4j, 8.0, 8.0, 8, 8)
+    marks = np.full(64, OrbitStatus.ESCAPED, dtype=np.uint8)
+    for i, j in marked:
+        marks[j * 8 + i] = OrbitStatus.BOUNDED
+    assert _covered(marks, grid, np.array([img]), np.array([radius]))[0] == expected
+
+
+def test_offset_groups_cover_every_offset_once():
+    for s in range(1, 10):
+        groups = _offset_groups(s)
+        assert len(groups) == min(s, 2) ** 2
+        seen = [rep for rep, _ in groups] + [p for _, members in groups for p in members]
+        assert sorted(seen) == [(i, j) for i in range(s) for j in range(s)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=st.one_of(
+    st.builds(complex, st.floats(-3.0, 0.5), st.floats(-0.05, 0.05)),     # near the cut
+    st.builds(lambda r, t: r * complex(math.cos(t), math.sin(t)),          # near the pole
+              st.floats(0.0, 0.05), st.floats(0.0, 2 * math.pi)),
+    st.builds(lambda r, t: 0.5 + r * complex(math.cos(t), math.sin(t)),    # near z = 1/2
+              st.floats(0.0, 0.05), st.floats(0.0, 2 * math.pi)),
+    st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),        # anywhere
+    st.builds(complex, st.floats(0.5, 3.0), st.floats(-3.0, 3.0)),         # right of the cut
+), rho=st.floats(1e-6, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_arccos_lipschitz_is_sound(z, rho, seed):
+    # the computed image of every point of the disc lies within L * rho of the
+    # computed image of its center; L is inf where the disc reaches the pole
+    # or the cut, real z <= 1/2, and finite well away from them
+    m = ArccosReciprocal()
+    lip = float(m._lipschitz(np.array([z]), rho)[0])
+    to_cut = abs(z.imag) if z.real <= 0.5 else abs(z - 0.5)
+    if to_cut <= rho:
+        assert lip == math.inf
+    if to_cut > 2 * rho:
+        assert math.isfinite(lip)
+    if lip == math.inf:
+        return
+    rng = np.random.default_rng(seed)
+    rim = rho * (1 - 1e-9) * np.exp(2j * np.pi * rng.uniform(0, 1, 64))
+    disc = np.concatenate([disc_offsets(rho, rng, 1)[0], rim])
+    w = eval_forward(m, z + disc)
+    w0 = eval_forward(m, np.array([z]))[0]
+    ok = np.isfinite(w)
+    assert np.isfinite(w0) and ok.any()
+    assert np.all(np.abs(w[ok] - w0) <= lip * rho), (z, rho, lip)
+
+
+JULIA_48 = GridSpec(0j, 3.0, 3.0, 48, 48)
+# the arccos image of SQUARE_16 lies in [1.86, 2.14] x [0.38, 0.65]
+SQUARE_16 = GridSpec(1 + 1j, 0.5, 0.5, 16, 16)
+
+
+@pytest.mark.parametrize("m, src_grid, dst, fires", [
+    (ArccosReciprocal(), JULIA_48, GridSpec(2.2 + 0j, 1.4, 2.4, 48, 64), True),
+    (ArccosReciprocal(), JULIA_48, GridSpec(0.8 + 1.2j, 0.5, 0.5, 32, 32), True),
+    (ArccosReciprocal(), JULIA_48, GridSpec(0.1 + 0j, 0.4, 1.0, 32, 40), True),
+    (ArccosReciprocal(), SQUARE_16, GridSpec(2.0 + 0.52j, 0.6, 0.6, 64, 64), True),
+    (ArccosReciprocal(), SQUARE_16, GridSpec(2.0 + 0.52j, 0.6, 0.6, 512, 512), False),
+    (Affine(2, 1), JULIA_48, GridSpec(1 + 0j, 6.0, 6.0, 48, 48), False),
+], ids=["verify", "corner", "u_below_0", "coarse", "fine", "no_bound"])
+def test_forward_image_with_the_group_skip_equals_reference(m, src_grid, dst, fires,
+                                                             monkeypatch):
+    # windows where the skip drops some members' samples, and where the
+    # destination pixels are too fine (or the map has no bound) for it to
+    if src_grid is SQUARE_16:
+        src = RasterField.filled(src_grid, OrbitStatus.BOUNDED)
+    else:
+        src = render_julia(src_grid, 0.25j, P)
+    kept = kept_cells(m, src, dst)
+    for s in (1, 2, 3, 8):
+        sizes = counted_samples(monkeypatch)
+        out = forward_image(src, m, dst, supersample=s)
+        assert fields_equal(out, splat_reference(src, m, dst, s)), s
+        assert (sum(sizes) < s * s * kept) == (fires and s > 2), (s, sum(sizes), kept)
 
 
 def test_maps_without_a_cull_miss_nowhere():
