@@ -167,7 +167,7 @@ def rasterize_zeno(diagram: ZenoDiagram, px_w: int, px_h: int) -> RasterField:
     grid = GridSpec(complex((t0 + t_max) / 2, h / 2), t_max - t0, h, px_w, px_h)
 
     field = RasterField.filled(grid, OrbitStatus.ESCAPED)
-    ys = grid.points()[:, 0].imag
+    ys = grid.axes()[1]
     for t, d in zip(times, heights):
         hit = grid.pixel_of(complex(t, grid.center.imag))
         if hit is not None:

@@ -202,6 +202,10 @@ COMMANDS = tuple(_FIELDS)
 
 PALETTE_NAMES = tuple(PALETTES)
 
+# Caps on one frame, checked before anything is allocated (README, "Size limits").
+MAX_PIXELS = 2 ** 24  # 4096 x 4096
+MAX_CELL_ITERATIONS = 2 ** 34  # 4096 x 4096 at max_iter 1024
+
 
 @dataclass(frozen=True)
 class SceneConfig:
@@ -270,7 +274,17 @@ def validate_config(raw: dict, text: str = "") -> SceneConfig:
     if "c" in values and abs(values["c"]) > radius:
         ctx.fail("c", f"|c| = {abs(values['c']):.6g} exceeds escape_radius {radius:g}; "
                       "escape is permanent only for escape_radius >= max(2, |c|)")
-    return SceneConfig(**values)
+    cfg = SceneConfig(**values)
+    rasters = {"px_w": (cfg.px_w, cfg.px_h)} if command == "zeno" else {
+        key: (values[key].px_w, values[key].px_h) for key in ("grid", "dst_grid") if key in values}
+    max_iter = cfg.iter_params.max_iter if "iter" in keys else 1
+    for key, (px_w, px_h) in rasters.items():
+        if px_w * px_h > MAX_PIXELS:
+            ctx.fail(key, f"{key}: {px_w} x {px_h} pixels exceed the limit of {MAX_PIXELS}")
+        if px_w * px_h * max_iter > MAX_CELL_ITERATIONS:
+            ctx.fail(key, f"{key}: {px_w} x {px_h} pixels at max_iter {max_iter} exceed the "
+                          f"limit of {MAX_CELL_ITERATIONS} cell-iterations")
+    return cfg
 
 
 def parse_config(text, overrides=()) -> SceneConfig:

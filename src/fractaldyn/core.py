@@ -125,13 +125,20 @@ class GridSpec:
         im = self.center.imag - (j + 0.5 - self.px_h / 2) * self.dy
         return complex(re, im)
 
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The real parts of the column centers and the imaginary parts of
+        the row centers, with point_of's arithmetic."""
+        xs = (np.arange(self.px_w) + 0.5 - self.px_w / 2) * self.dx + self.center.real
+        ys = self.center.imag - (np.arange(self.px_h) + 0.5 - self.px_h / 2) * self.dy
+        return xs, ys
+
     def points(self) -> np.ndarray:
         """All pixel centers as a (px_h, px_w) complex array, row-major.
 
-        Uses the same arithmetic as point_of, so entries match it bitwise.
+        Entry [j, i] is xs[i] + (1j * ys)[j] from axes(), so entries match
+        point_of bitwise.
         """
-        xs = (np.arange(self.px_w) + 0.5 - self.px_w / 2) * self.dx + self.center.real
-        ys = self.center.imag - (np.arange(self.px_h) + 0.5 - self.px_h / 2) * self.dy
+        xs, ys = self.axes()
         return xs[np.newaxis, :] + 1j * ys[:, np.newaxis]
 
     def _pixel_coords(self, re, im):

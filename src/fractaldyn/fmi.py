@@ -106,6 +106,8 @@ def forward_image(src_field: RasterField, m: MapSpec, dst_grid: GridSpec,
     domain marks the nearest destination pixel Bounded. Unmarked cells are
     Escaped(0). Marking is idempotent, so overlapping splats are harmless
     and each tile's sub-pixel offsets are splatted in passes of their own.
+    Each tile's centers are formed from their flat indices with points()'s
+    arithmetic, so no frame-sized array of points is built.
 
     Two kinds of sample are never evaluated. Cells that m._misses proves
     land wholly outside the window are dropped first. Then the offsets are
@@ -115,7 +117,8 @@ def forward_image(src_field: RasterField, m: MapSpec, dst_grid: GridSpec,
     where the representative's image w is not _covered: the disc around w
     of radius L * d, L from m._lipschitz, holds the computed image of every
     member, and if its pixels lie outside the window or are all marked
-    already, no member can mark a new pixel. Marks only grow, and every
+    already, no member can mark a new pixel. Where m._lipschitz is None
+    every member is evaluated for every cell. Marks only grow, and every
     evaluated sample is the same elementwise evaluation as before, so the
     mask is the one splatting every sample of every cell gives.
     """
@@ -124,7 +127,8 @@ def forward_image(src_field: RasterField, m: MapSpec, dst_grid: GridSpec,
     out = RasterField.filled(dst_grid, OrbitStatus.ESCAPED)
 
     src = src_field.grid
-    centers = src.points()[src_field.bounded_mask()]
+    cells = np.flatnonzero(src_field.bounded_mask())
+    col_re, row_im = src.axes()
     # the window widened by one destination pixel, which absorbs pixels_hit's rounding
     half_w, half_h = dst_grid.width / 2 + dst_grid.dx, dst_grid.height / 2 + dst_grid.dy
     c = dst_grid.center
@@ -134,8 +138,9 @@ def forward_image(src_field: RasterField, m: MapSpec, dst_grid: GridSpec,
     off = (np.arange(supersample) + 0.5) / supersample - 0.5
     xs, ys = off * src.dx, off * src.dy
     groups = _offset_groups(supersample)
-    for lo in range(0, centers.size, _TILE_CELLS):
-        tile = centers[lo:lo + _TILE_CELLS]
+    for lo in range(0, cells.size, _TILE_CELLS):
+        flat = cells[lo:lo + _TILE_CELLS]
+        tile = col_re[flat % src.px_w] + (1j * row_im)[flat // src.px_w]  # as points() forms them
         tile = tile[~m._misses(tile, src.half_pixel_diag, box)]
         images = []
         for (rx, ry), _ in groups:
@@ -144,11 +149,13 @@ def forward_image(src_field: RasterField, m: MapSpec, dst_grid: GridSpec,
         for ((rx, ry), members), img in zip(groups, images):
             if not members:
                 continue
-            reach = max(math.hypot(xs[i] - xs[rx], ys[j] - ys[ry]) for i, j in members)
-            rep = tile + complex(xs[rx], ys[ry])
-            # allows for rounding in forming the samples and in reach itself
-            rho = reach + _ROUNDING * (reach + np.abs(rep))
-            rest = tile[~_covered(marks, dst_grid, img, m._lipschitz(rep, rho) * rho)]
+            rest = tile
+            if m._lipschitz is not None:
+                reach = max(math.hypot(xs[i] - xs[rx], ys[j] - ys[ry]) for i, j in members)
+                rep = tile + complex(xs[rx], ys[ry])
+                # allows for rounding in forming the samples and in reach itself
+                rho = reach + _ROUNDING * (reach + np.abs(rep))
+                rest = tile[~_covered(marks, dst_grid, img, m._lipschitz(rep, rho) * rho)]
             for i, j in members:
                 hit = dst_grid.pixels_hit(eval_forward(m, rest + complex(xs[i], ys[j])))
                 marks[hit] = OrbitStatus.BOUNDED

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OrbitStatus, RasterField
+from .core import _TILE_CELLS, OrbitStatus, RasterField
 
 INVALID_RGB = (255, 0, 255)
 
@@ -48,7 +48,10 @@ class PaletteRule:
         A ramp row that rounds to black is drawn (1, 1, 1) instead.
         Fields the package makes have escape indices in [0, max_iter), so the
         table has at most max_iter ramp rows, no more than the kernel ran;
-        a negative index raises ValueError."""
+        a negative index raises ValueError. Row indices are formed and
+        looked up one tile of _TILE_CELLS cells at a time, straight into
+        the image, so the only frame-sized temporaries are bytes and the
+        escape indices of the Escaped cells."""
         escaped = field.status == OrbitStatus.ESCAPED
         k = field.escape_iter[escaped]
         lo, hi = (int(k.min()), int(k.max())) if k.size else (1, 0)  # empty ramp, n_max 0
@@ -59,9 +62,15 @@ class PaletteRule:
         ramp = np.rint(np.stack([np.interp(u, pos, channel) for channel in zip(*rgb)], axis=-1))
         ramp[~ramp.any(axis=-1)] = 1  # one step off black, so no Escaped cell looks Bounded
         table = np.concatenate([ramp, [(0, 0, 0), INVALID_RGB]]).astype(np.uint8)
-        code = np.where(escaped, field.escape_iter - lo,
-                        np.where(field.status == OrbitStatus.INVALID, u.size + 1, u.size))
-        return table.take(code, axis=0)
+        status, k, escaped = (a.reshape(-1) for a in (field.status, field.escape_iter, escaped))
+        image = np.empty(field.status.shape + (3,), dtype=np.uint8)
+        pixels = image.reshape(-1, 3)
+        for start in range(0, status.size, _TILE_CELLS):
+            tile = slice(start, start + _TILE_CELLS)
+            code = np.where(escaped[tile], k[tile] - lo,
+                            np.where(status[tile] == OrbitStatus.INVALID, u.size + 1, u.size))
+            table.take(code, axis=0, out=pixels[tile])
+        return image
 
 
 _BLACK, _WHITE = (0, 0, 0), (255, 255, 255)
@@ -90,7 +99,7 @@ def write_image(field: RasterField, palette: PaletteRule, path) -> None:
     h, w = img.shape[:2]
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())
+        fh.write(memoryview(img))  # the image's own bytes, not a copy
 
 
 def _jsonable(value):

@@ -57,13 +57,13 @@ class MapSpec:
         im_lo, im_hi). A map without such a bound misses nowhere."""
         return np.zeros(centers.shape, dtype=bool)
 
-    def _lipschitz(self, z: np.ndarray, rho) -> np.ndarray:
-        """An upper bound L on |f'| over the disc of radius rho > 0 around
-        each z, widened for rounding: every point of the disc whose image
-        under _forward_array, as numpy computes it, is not NaN has that image
-        within L * rho of the computed image of z. inf where no bound is
-        known; a map without such a bound has none anywhere."""
-        return np.full(z.shape, np.inf)
+    # _lipschitz(z, rho): an upper bound L on |f'| over the disc of radius
+    # rho > 0 around each z, widened for rounding: every point of the disc
+    # whose image under _forward_array, as numpy computes it, is not NaN has
+    # that image within L * rho of the computed image of z; inf where no
+    # bound is known. None for a map without such a bound anywhere, whose
+    # forward splat then evaluates every sample.
+    _lipschitz = None
 
     def iterated(self, k: int) -> "MapSpec":
         """The k-fold composition of this map with itself, where it has a
@@ -309,6 +309,24 @@ MAP_KINDS = {
 }
 
 
+def _halton(n: int) -> np.ndarray:
+    """The first n points of the unscrambled 4-D Halton sequence (J. H.
+    Halton, Numer. Math. 2, 1960) as an (n, 4) array: column b is the
+    radical inverse of 0..n-1 in base 2, 3, 5, 7, each index's digits
+    mirrored about the radix point. Digits are added least significant
+    first, at a weight divided by the base after each, as scipy.stats.qmc
+    does, so the points equal its Halton(d=4, scramble=False) bit for bit
+    (a spent index adds only +0.0)."""
+    pts = np.zeros((n, 4))
+    for col, base in enumerate((2, 3, 5, 7)):
+        q, weight = np.arange(n), 1.0 / base
+        while q.any():
+            q, digit = np.divmod(q, base)
+            pts[:, col] += digit * weight
+            weight /= base
+    return pts
+
+
 def estimate_bilipschitz(m: MapSpec, region: GridSpec, n_pairs: int) -> tuple[float, float]:
     """Empirical stretch bounds (l1, l2) of f over a window.
 
@@ -319,10 +337,7 @@ def estimate_bilipschitz(m: MapSpec, region: GridSpec, n_pairs: int) -> tuple[fl
     """
     if n_pairs < 100:
         raise ValueError("n_pairs must be >= 100")
-    # imported here: scipy.stats takes over a second to load, and only this needs it
-    from scipy.stats import qmc
-    sampler = qmc.Halton(d=4, scramble=False)
-    pts = sampler.random(n_pairs)
+    pts = _halton(n_pairs)
     re0 = region.center.real - region.width / 2
     im0 = region.center.imag - region.height / 2
     u = (re0 + pts[:, 0] * region.width) + 1j * (im0 + pts[:, 1] * region.height)

@@ -285,16 +285,28 @@ def test_invalid_pixels_use_reserved_color(tmp_path):
     assert INVALID_RGB in pixels
 
 
-def test_importing_the_cli_loads_no_scipy_stats_or_ndimage():
-    # scipy.stats alone takes over a second to import; the two functions
-    # that use scipy import it when called
+def _scipy_modules_after(code: str, prefixes: tuple) -> str:
+    """The sorted scipy modules named by prefixes that a fresh interpreter
+    has loaded after running code, as printed."""
     src = str(Path(fractaldyn.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, fractaldyn.cli; print(sorted(m for m in sys.modules "
-                               "if m.startswith(('scipy.stats', 'scipy.ndimage'))))"],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    script = (f"import sys; {code}; "
+              f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))")
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
+def test_importing_the_cli_loads_no_scipy_stats_or_ndimage():
+    # scipy.stats alone takes over a second to import; mask comparison
+    # imports scipy.ndimage when called
+    assert _scipy_modules_after("import fractaldyn.cli", ("scipy.stats", "scipy.ndimage")) == "[]"
+
+
+def test_estimating_stretch_bounds_loads_no_scipy_stats():
+    code = ("from fractaldyn import ArccosReciprocal, GridSpec, estimate_bilipschitz; "
+            "estimate_bilipschitz(ArccosReciprocal(), GridSpec(2 + 0j, 1.0, 1.0, 8, 8), 2000)")
+    assert _scipy_modules_after(code, ("scipy.stats",)) == "[]"
 
 
 ITER = {"max_iter": 60}

@@ -1,8 +1,12 @@
+import importlib.util
 import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fractaldyn.cli import main
 from fractaldyn.config import (COMMANDS, PALETTE_NAMES, ConfigError, SceneConfig,
                                apply_overrides, parse_config, serialize_config,
                                validate_config)
@@ -319,10 +323,13 @@ positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 pairs = st.lists(finite, min_size=2, max_size=2)
 fixed_c = st.lists(st.floats(-1.4, 1.4), min_size=2, max_size=2)  # |c| < 2 <= escape_radius
 counts = st.integers(1, 10 ** 30)
+# 2048 x 2048 pixels at max_iter 4096 is MAX_CELL_ITERATIONS exactly
+sides = st.integers(1, 2 ** 11)
 grids = st.fixed_dictionaries({"center": pairs, "width": positive, "height": positive,
-                               "px_w": counts, "px_h": counts})
+                               "px_w": sides, "px_h": sides})
 iters = st.fixed_dictionaries({}, optional={
-    "max_iter": counts, "escape_radius": st.floats(min_value=2.0, allow_infinity=False)})
+    "max_iter": st.integers(1, 2 ** 12),
+    "escape_radius": st.floats(min_value=2.0, allow_infinity=False)})
 closed_flows = {
     "linear": st.fixed_dictionaries({"kind": st.just("linear"), "lambda": pairs}),
     "limit_cycle": st.just({"kind": "limit_cycle"}),
@@ -382,7 +389,8 @@ COMMAND_DOCS = {
         {"grid": grids, "c": fixed_c, "map": MAP_SPECS["identity"] | MAP_SPECS["affine"]},
         iter=iters, supersample=counts),
     "zeno": command_docs("zeno", {"d0": positive, "t1": positive, "n": counts},
-                         i0=big, px_w=counts, px_h=counts, min_box=boxes, max_box=boxes),
+                         i0=big, px_w=st.integers(1, 2 ** 12), px_h=st.integers(1, 2 ** 12),
+                         min_box=boxes, max_box=boxes),
 }
 SCENE_DOCS = {
     **COMMAND_DOCS,
@@ -429,3 +437,70 @@ def test_overrides_give_a_config_or_a_config_error(doc, items):
     except ConfigError:
         return
     assert isinstance(cfg, SceneConfig)
+
+
+def _grid(px_w, px_h):
+    return {"center": [0, 0], "width": 3.0, "height": 3.0, "px_w": px_w, "px_h": px_h}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (julia_doc(grid=_grid(4097, 4096), iter={"max_iter": 1}), "pixels exceed"),
+    (julia_doc(grid=_grid(10 ** 12, 10 ** 12)), "pixels exceed"),
+    (julia_doc(grid=_grid(4096, 4096), iter={"max_iter": 1025}), "cell-iterations"),
+    (julia_doc(grid=_grid(1024, 1024), iter={"max_iter": 10 ** 9}), "cell-iterations"),
+    ({"command": "mandelbrot", "grid": _grid(2048, 2049), "iter": {"max_iter": 4096},
+      "output": "o"}, "cell-iterations"),
+    ({"command": "verify-fmt", "grid": _grid(64, 64), "c": [0, 0.25],
+      "map": {"kind": "arccos_reciprocal"}, "dst_grid": _grid(5000, 5000), "output": "o"},
+     "dst_grid: 5000 x 5000 pixels exceed"),
+    ({"command": "zeno", "d0": 1.0, "t1": 1.0, "n": 4, "px_w": 2 ** 20, "px_h": 2 ** 5,
+      "output": "o"}, "px_w: 1048576 x 32 pixels exceed"),
+])
+def test_oversized_frames_are_config_errors(doc, message):
+    with pytest.raises(ConfigError, match=message):
+        validate_config(doc)
+
+
+def test_frames_at_the_size_caps_are_accepted():
+    # 2^24 pixels and 2^34 cell-iterations exactly; validated only, nothing is rendered
+    assert validate_config(julia_doc(grid=_grid(4096, 4096), iter={"max_iter": 1024}))
+    assert validate_config(julia_doc(grid=_grid(2 ** 24, 1), iter={"max_iter": 1024}))
+    assert validate_config({"command": "zeno", "d0": 1.0, "t1": 1.0, "n": 4,
+                            "px_w": 2 ** 12, "px_h": 2 ** 12, "output": "o"})
+
+
+def test_an_oversized_frame_exits_1_before_anything_is_allocated(tmp_path, capsys):
+    cfg = tmp_path / "scene.json"
+    cfg.write_text(json.dumps(julia_doc(grid=_grid(100_000, 100_000),
+                                        output=str(tmp_path / "big"))))
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", str(cfg)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1 and "config error" in err and "pixels exceed" in err
+    assert peak < 2 ** 20  # 10^10 pixels: even their status bytes alone would be 10 GB
+    assert not list(tmp_path.glob("big.*"))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _perfbench_scenes():
+    spec = importlib.util.spec_from_file_location("perfbench_scenes",
+                                                  ROOT / "perfbench" / "scenes.py")
+    scenes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scenes)
+    return [(f"{workload}/{name}", raw) for workload in scenes.WORKLOADS
+            for name, raw in scenes.make_scenes(workload, scenes.DEFAULT_SEED, ROOT,
+                                                Path("out"))]
+
+
+@pytest.mark.parametrize("name, raw", [
+    *[(f"recipes/{p.stem}", json.loads(p.read_text(encoding="utf-8")))
+      for p in sorted(ROOT.glob("recipes/*.json"))],
+    *_perfbench_scenes()])
+def test_every_recipe_and_benchmark_scene_is_within_the_size_caps(name, raw):
+    assert isinstance(validate_config(raw), SceneConfig)

@@ -201,6 +201,21 @@ def test_forward_image_memory_does_not_grow_with_supersample():
     assert peak(8) <= 2 * peak(1)
 
 
+def test_forward_image_of_a_sparse_source_builds_no_frame_of_points():
+    # 1024^2 cells, 81 of them Bounded: the frame's complex centers would be 16.8 MB
+    src = RasterField.filled(GridSpec(0j, 2.0, 2.0, 1024, 1024), OrbitStatus.ESCAPED)
+    src.status[500:509, 700:709] = OrbitStatus.BOUNDED
+    dst = GridSpec(0j, 2.0, 2.0, 64, 64)
+    tracemalloc.start()
+    try:
+        out = forward_image(src, Affine(0.5 + 0.5j, 0.1), dst, supersample=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < src.status.size * 16 / 8
+    assert fields_equal(out, splat_reference(src, Affine(0.5 + 0.5j, 0.1), dst, 3))
+
+
 def arccos_boxes():
     """Boxes (re_lo, re_hi, im_lo, im_hi) of every shape the cull has to
     handle: anywhere, reaching u <= 0 or u >= pi, thin strips around v = 0,

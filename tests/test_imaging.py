@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,6 +162,35 @@ def test_colorize_negative_escape_index():
                 get_palette(name).colorize(field)
     # a negative index on a Bounded cell is not an escape index
     assert_colorize_equals_per_cell(field_of([[esc, bnd]], [[3, -9]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_colorize_tile_size_does_not_change_the_image(data):
+    shape = (data.draw(st.integers(1, 24)), data.draw(st.integers(1, 24)))
+    status = data.draw(arrays(np.uint8, shape, elements=st.sampled_from(list(OrbitStatus))))
+    escape_iter = data.draw(arrays(np.int32, shape, elements=st.integers(0, 300)))
+    field = field_of(status, escape_iter)
+    tile = data.draw(st.sampled_from([1, 7, status.size - 1 or 1, status.size]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("fractaldyn.imaging._TILE_CELLS", tile)
+        assert_colorize_equals_per_cell(field)
+
+
+def test_colorize_of_a_1024_frame_builds_no_frame_of_row_indices():
+    # int64 row indices for the whole frame would be 8.4 MB each; the image is 3.1 MB
+    rng = np.random.default_rng(5)
+    status = rng.choice(np.array(list(OrbitStatus), dtype=np.uint8), (1024, 1024),
+                        p=[0.2, 0.75, 0.05])
+    field = field_of(status, rng.integers(0, 500, (1024, 1024)))
+    tracemalloc.start()
+    try:
+        img = get_palette("classic").colorize(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * img.nbytes
+    assert img.tobytes() == _per_cell_colorize(get_palette("classic"), field).tobytes()
 
 
 def test_colorize_package_fields_equal_per_cell_reference():

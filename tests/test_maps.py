@@ -14,7 +14,7 @@ from fractaldyn.flows import (FLOW_KINDS, LimitCycle, Linear, NumericRK4, Period
                               flow_apply, flow_inverse)
 from fractaldyn.maps import (MAP_KINDS, Affine, ArccosReciprocal, ArcsinRoot5,
                              FlowMap, Identity, InsufficientSamples,
-                             QuadraticParam, ReciprocalSqrt, _reciprocal,
+                             QuadraticParam, ReciprocalSqrt, _halton, _reciprocal,
                              estimate_bilipschitz, eval_forward, eval_inverse)
 
 
@@ -171,6 +171,14 @@ def test_affine_ratio_constant():
     keep = np.abs(u - v) > 1e-9
     ratios = np.abs(eval_forward(m, u[keep]) - eval_forward(m, v[keep])) / np.abs(u[keep] - v[keep])
     assert np.max(np.abs(ratios - abs(m.a))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [100, 4096, 20000, 100003])
+def test_halton_points_equal_scipy_unscrambled_halton_bytewise(n):
+    ref = np.ascontiguousarray(qmc.Halton(d=4, scramble=False).random(n))
+    pts = _halton(n)
+    assert pts.shape == ref.shape and pts.dtype == ref.dtype
+    assert pts.tobytes() == ref.tobytes()
 
 
 def test_bilipschitz_identity():
