@@ -8,7 +8,7 @@ when it can be located in the source text.
 
 Keys are declared only on dataclasses. The top-level keys are the fields
 of ``SceneConfig``: a field's annotation picks its parser, its
-``metadata["min"]`` is its lower bound and its default is what a command
+``metadata["min"]`` and ``["max"]`` bound it and its default is what a command
 accepting the key fills in. The grid, iter, map and flow sections are the
 init fields of ``GridSpec``, ``IterParams`` and the classes in
 ``MAP_KINDS`` / ``FLOW_KINDS``; a field without a default is a required
@@ -154,13 +154,19 @@ def _type(f) -> str:
 def _parse_field(ctx: _Ctx, f, raw):
     """The value of a dataclass field from its key's JSON value. A
     ``metadata["min"]`` bound may be equalled by an integer; a real number
-    (d0, t1) must exceed it."""
-    key, low = _key(f), f.metadata.get("min")
+    (d0, t1) must exceed it. A ``metadata["max"]`` bound caps an integer,
+    or the length of a list."""
+    key, low, high = _key(f), f.metadata.get("min"), f.metadata.get("max")
     value = _FIELD_PARSERS[_type(f)](ctx, raw, key)
     if low is not None:
         strict = isinstance(value, float)
         if value < low or (strict and value == low):
             ctx.fail(key, f"{key} must be {'>' if strict else '>='} {low}")
+    if high is not None:
+        if isinstance(value, tuple) and len(value) > high:
+            ctx.fail(key, f"{key} must hold at most {high} values")
+        if isinstance(value, int) and value > high:
+            ctx.fail(key, f"{key} must be <= {high}")
     return value
 
 
@@ -205,6 +211,10 @@ PALETTE_NAMES = tuple(PALETTES)
 # Caps on one frame, checked before anything is allocated (README, "Size limits").
 MAX_PIXELS = 2 ** 24  # 4096 x 4096
 MAX_CELL_ITERATIONS = 2 ** 34  # 4096 x 4096 at max_iter 1024
+# Caps on what multiplies a frame's work, from the two above: a run may have as
+# many frames, and a cell as many samples, as a largest frame has iterations.
+MAX_FRAMES = MAX_CELL_ITERATIONS // MAX_PIXELS  # 1024: k_max + 1 or len(t_list)
+MAX_SUPERSAMPLE = math.isqrt(MAX_FRAMES)  # 32: s^2 samples per Bounded cell
 
 
 @dataclass(frozen=True)
@@ -219,11 +229,11 @@ class SceneConfig:
     map: MapSpec | None = None
     dst_grid: GridSpec | None = None
     flow: FlowSpec | None = None
-    t_list: tuple[float, ...] | None = None
-    k_max: int | None = field(default=None, metadata={"min": 0})
+    t_list: tuple[float, ...] | None = field(default=None, metadata={"max": MAX_FRAMES})
+    k_max: int | None = field(default=None, metadata={"min": 0, "max": MAX_FRAMES - 1})
     iter_params: IterParams = field(default_factory=IterParams, metadata={"key": "iter"})
     palette: str = "classic"
-    supersample: int = field(default=3, metadata={"min": 1})
+    supersample: int = field(default=3, metadata={"min": 1, "max": MAX_SUPERSAMPLE})
     boundary: bool = True
     d0: float | None = field(default=None, metadata={"min": 0})
     t1: float | None = field(default=None, metadata={"min": 0})

@@ -12,10 +12,10 @@ orbit diverges.
 forward_image is the independent route to the same set: it pushes every
 Bounded source pixel through f with stratified supersampling and splats
 onto nearest destination pixels, one sub-pixel offset of one shared tile
-of centers (core._TILE_CELLS) at a time. It skips the cells the map
-proves land outside the destination window, and the samples it proves
-could only mark pixels that are marked already or lie outside it. When f
-stretches distances by at most l2, supersampling at source pitch / s
+of centers (core._TILE_CELLS) at a time. Where the map states a stretch
+bound (MapSpec._lipschitz) it skips the samples that bound proves could
+only mark pixels that are marked already or lie outside the window. When
+f stretches distances by at most l2, supersampling at source pitch / s
 keeps the splat spacing below the destination pitch whenever
 l2 * src_pitch / s <= dst_pitch.
 """
@@ -30,6 +30,8 @@ import numpy as np
 from .core import _TILE_CELLS, GridSpec, OrbitStatus, RasterField, require_finite
 from .fji import IterParams, classify_grid, render_julia
 from .maps import _ROUNDING, MapSpec, eval_forward, eval_inverse
+
+_BLOCK = 4  # side, in source pixels, of the blocks the cull tests with one evaluation each
 
 
 def fmi_julia(grid: GridSpec, c: complex, m: MapSpec, params: IterParams = IterParams(),
@@ -75,8 +77,12 @@ def _covered(marks: np.ndarray, grid: GridSpec, img: np.ndarray, radius: np.ndar
     if not np.isfinite(radius).any():
         return np.zeros(img.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        # widened so that the rounded corners lie outside the exact disc's box
-        r = radius + _ROUNDING * (radius + np.abs(img))
+        # widened so that the rounded corners lie outside the exact disc's box;
+        # radius + _ROUNDING * (radius + |img|), formed in place
+        r = np.abs(img)
+        r += radius
+        r *= _ROUNDING
+        r += radius
         u_lo, v_hi = grid._pixel_coords(img.real - r, img.imag - r)
         u_hi, v_lo = grid._pixel_coords(img.real + r, img.imag + r)
         covered = (u_hi < 0) | (u_lo > grid.px_w) | (v_hi < 0) | (v_lo > grid.px_h)
@@ -97,6 +103,34 @@ def _covered(marks: np.ndarray, grid: GridSpec, img: np.ndarray, radius: np.ndar
     return covered
 
 
+def _radius(m: MapSpec, z: np.ndarray, reach: float) -> np.ndarray:
+    """Per z, how far from the computed image of z the computed images of
+    the points within reach of it can lie, by m._lipschitz."""
+    # allows for rounding in forming the points and in reach itself
+    rho = reach + _ROUNDING * (reach + np.abs(z))
+    return m._lipschitz(z, rho) * rho
+
+
+def _cull(m: MapSpec, src: GridSpec, flat: np.ndarray, marks: np.ndarray,
+          dst_grid: GridSpec) -> np.ndarray:
+    """The cells of flat, flat indices into src, that may still mark a new
+    pixel. f is evaluated once per _BLOCK x _BLOCK block of source pixels
+    holding one of them, at the block's centre z; every sample of the
+    block lies within _BLOCK half-diagonals of z, so its computed image
+    lies in the disc _radius gives around f(z), and the block's cells are
+    dropped where _covered proves that disc holds no unmarked pixel of
+    the window."""
+    per_row = -(-src.px_w // _BLOCK)
+    row, col = np.divmod(flat, src.px_w)
+    blocks, which = np.unique(row // _BLOCK * per_row + col // _BLOCK, return_inverse=True)
+    row, col = np.divmod(blocks, per_row)
+    half = _BLOCK / 2
+    z = ((col * _BLOCK + half - src.px_w / 2) * src.dx + src.center.real
+         + 1j * (src.center.imag - (row * _BLOCK + half - src.px_h / 2) * src.dy))
+    radius = _radius(m, z, _BLOCK * src.half_pixel_diag)
+    return flat[~_covered(marks, dst_grid, eval_forward(m, z), radius)[which]]
+
+
 def forward_image(src_field: RasterField, m: MapSpec, dst_grid: GridSpec,
                   supersample: int = 3) -> RasterField:
     """Push the Bounded cells of src_field through f onto dst_grid.
@@ -109,18 +143,20 @@ def forward_image(src_field: RasterField, m: MapSpec, dst_grid: GridSpec,
     Each tile's centers are formed from their flat indices with points()'s
     arithmetic, so no frame-sized array of points is built.
 
-    Two kinds of sample are never evaluated. Cells that m._misses proves
-    land wholly outside the window are dropped first. Then the offsets are
-    split into at most 2 x 2 groups (_offset_groups), and each group's
-    representative is splatted for every cell. A group's other members,
-    all within d of the representative, are evaluated only for the cells
-    where the representative's image w is not _covered: the disc around w
-    of radius L * d, L from m._lipschitz, holds the computed image of every
-    member, and if its pixels lie outside the window or are all marked
-    already, no member can mark a new pixel. Where m._lipschitz is None
-    every member is evaluated for every cell. Marks only grow, and every
-    evaluated sample is the same elementwise evaluation as before, so the
-    mask is the one splatting every sample of every cell gives.
+    Where m._lipschitz bounds f's stretch, samples that cannot mark a new
+    pixel are never evaluated. With L from m._lipschitz, the computed
+    images of the points within d of an evaluated point lie within L * d
+    of its computed image w, and where _covered finds that disc's pixels
+    outside the window or all marked already, none of those points is
+    evaluated. _cull applies this to each tile's cells, one disc per block
+    of source pixels. Then the offsets are split into at most 2 x 2 groups
+    (_offset_groups): each group's representative is splatted for every
+    kept cell, and a group's other members, all within d of the
+    representative, only for the cells whose representative's disc is not
+    covered. Where m._lipschitz is None every sample of every cell is
+    evaluated. Marks only grow, and every evaluated sample is the same
+    elementwise evaluation as before, so the mask is the one splatting
+    every sample of every cell gives.
     """
     if supersample < 1:
         raise ValueError("supersample must be >= 1")
@@ -129,19 +165,15 @@ def forward_image(src_field: RasterField, m: MapSpec, dst_grid: GridSpec,
     src = src_field.grid
     cells = np.flatnonzero(src_field.bounded_mask())
     col_re, row_im = src.axes()
-    # the window widened by one destination pixel, which absorbs pixels_hit's rounding
-    half_w, half_h = dst_grid.width / 2 + dst_grid.dx, dst_grid.height / 2 + dst_grid.dy
-    c = dst_grid.center
-    box = (c.real - half_w, c.real + half_w, c.imag - half_h, c.imag + half_h)
-
     marks = out.status.reshape(-1)
     off = (np.arange(supersample) + 0.5) / supersample - 0.5
     xs, ys = off * src.dx, off * src.dy
     groups = _offset_groups(supersample)
     for lo in range(0, cells.size, _TILE_CELLS):
         flat = cells[lo:lo + _TILE_CELLS]
+        if m._lipschitz is not None:
+            flat = _cull(m, src, flat, marks, dst_grid)
         tile = col_re[flat % src.px_w] + (1j * row_im)[flat // src.px_w]  # as points() forms them
-        tile = tile[~m._misses(tile, src.half_pixel_diag, box)]
         images = []
         for (rx, ry), _ in groups:
             images.append(eval_forward(m, tile + complex(xs[rx], ys[ry])))
@@ -152,10 +184,8 @@ def forward_image(src_field: RasterField, m: MapSpec, dst_grid: GridSpec,
             rest = tile
             if m._lipschitz is not None:
                 reach = max(math.hypot(xs[i] - xs[rx], ys[j] - ys[ry]) for i, j in members)
-                rep = tile + complex(xs[rx], ys[ry])
-                # allows for rounding in forming the samples and in reach itself
-                rho = reach + _ROUNDING * (reach + np.abs(rep))
-                rest = tile[~_covered(marks, dst_grid, img, m._lipschitz(rep, rho) * rho)]
+                radius = _radius(m, tile + complex(xs[rx], ys[ry]), reach)
+                rest = tile[~_covered(marks, dst_grid, img, radius)]
             for i, j in members:
                 hit = dst_grid.pixels_hit(eval_forward(m, rest + complex(xs[i], ys[j])))
                 marks[hit] = OrbitStatus.BOUNDED

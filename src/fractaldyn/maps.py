@@ -33,7 +33,7 @@ from .flows import FlowSpec, flow_apply, flow_inverse
 
 POLE_EXCLUSION = 1e-9
 MIN_SEPARATION = 1e-12
-_ROUNDING = 2.0 ** -30  # relative allowance for rounding in the _misses and _lipschitz bounds
+_ROUNDING = 2.0 ** -30  # relative allowance for rounding in the _lipschitz bounds and their discs
 
 
 class InsufficientSamples(RuntimeError):
@@ -50,12 +50,6 @@ class MapSpec:
 
     def _inverse_array(self, w: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def _misses(self, centers: np.ndarray, radius: float, box: tuple) -> np.ndarray:
-        """True only where every point within radius of a center maps, under
-        _forward_array as numpy computes it, outside box = (re_lo, re_hi,
-        im_lo, im_hi). A map without such a bound misses nowhere."""
-        return np.zeros(centers.shape, dtype=bool)
 
     # _lipschitz(z, rho): an upper bound L on |f'| over the disc of radius
     # rho > 0 around each z, widened for rounding: every point of the disc
@@ -148,48 +142,6 @@ class ArccosReciprocal(MapSpec):
 
     def _inverse_array(self, w):
         return _reciprocal(1.0 + np.cos(w))
-
-    def _misses(self, centers, radius, box):
-        """Cells with no point in the box, tested at the center c alone.
-
-        Write x = 1/z - 1 and w = arccos x = u + iv, u in [0, pi]. Then
-        alpha = (|x+1| + |x-1|)/2 = cosh v and beta = (|x+1| - |x-1|)/2 =
-        cos u, so a w in the box has alpha <= cosh V, V = max|im|, and beta
-        in [cos re_hi, cos re_lo], each bound dropped where the box reaches
-        u <= 0 or u >= pi (cos falls only on [0, pi]). alpha and beta are
-        1-Lipschitz in x, and z within h of c moves x by at most
-        L = h/(|c|(|c| - h)). So a center whose alpha or beta is past its
-        bound by more than L plus a rounding allowance has no point in the
-        box. |c| <= h gives L = inf and a NaN fails every comparison, so
-        neither ever misses.
-
-        Computed images miss too. A computed np.arccos in the box is within
-        a few ulp of the exact arccos of the computed x, so that lies in the
-        box widened by a few ulp of B, the largest box coordinate: the
-        bounds on beta move by that much and on alpha by that times cosh V.
-        A sample's computed x is within a few ulp of alpha + 1 of the exact
-        x(z), as |x| <= alpha; forming the sample c + offset rounds by ulps
-        of |c|, which widening h by 2**-30 (|c| + h) covers; alpha, beta, L,
-        math.cos and math.cosh round by a few ulp of themselves. The
-        allowance 2**-30 (L + (1 + B)(alpha + cosh V)) exceeds all of these
-        together some ten thousand times over.
-        """
-        re_lo, re_hi, im_lo, im_hi = box
-        b_hi = math.cos(re_lo) if re_lo > 0 else math.inf
-        b_lo = math.cos(re_hi) if re_hi < math.pi else -math.inf
-        v = max(abs(im_lo), abs(im_hi))
-        a_hi = math.cosh(v) if v < 710 else math.inf  # math.cosh overflows past 710.47
-        big = 1.0 + max(abs(re_lo), abs(re_hi), v)
-        with np.errstate(all="ignore"):
-            r = np.abs(centers)
-            h = radius + _ROUNDING * (radius + r)
-            lip = np.where(r > h, h / (r * (r - h)), np.inf)
-            x = _reciprocal(centers) - 1.0
-            p, q = np.abs(x + 1.0), np.abs(x - 1.0)
-            alpha, beta = (p + q) / 2, (p - q) / 2
-            lip += _ROUNDING * (lip + big * (alpha + a_hi))
-            # written so that a NaN anywhere never misses
-            return (beta - lip > b_hi) | (beta + lip < b_lo) | (alpha - lip > a_hi)
 
     def _lipschitz(self, z, rho):
         """|f'(p)| = 1/(|p| sqrt|1 - 2p|), bounded over the disc around z.

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fractaldyn.cli import main
-from fractaldyn.config import (COMMANDS, PALETTE_NAMES, ConfigError, SceneConfig,
-                               apply_overrides, parse_config, serialize_config,
-                               validate_config)
+from fractaldyn.config import (COMMANDS, MAX_FRAMES, MAX_SUPERSAMPLE, PALETTE_NAMES,
+                               ConfigError, SceneConfig, apply_overrides, parse_config,
+                               serialize_config, validate_config)
 from fractaldyn.flows import FLOW_KINDS, LimitCycle, NumericRK4
 from fractaldyn.maps import MAP_KINDS, Affine, ArccosReciprocal, QuadraticParam
 
@@ -363,6 +363,8 @@ def command_docs(command, required, **optional):
 
 
 big = st.integers(0, 10 ** 30)
+frame_counts = st.integers(0, MAX_FRAMES - 1)
+supersamples = st.integers(1, MAX_SUPERSAMPLE)
 boxes = st.integers(2, 10 ** 30)
 COMMAND_DOCS = {
     "julia": command_docs("julia", {"grid": grids, "c": fixed_c}, iter=iters),
@@ -372,22 +374,23 @@ COMMAND_DOCS = {
     "fmi-mandelbrot": command_docs("fmi-mandelbrot", {"grid": grids, "map": maps},
                                    iter=iters),
     "discrete-traj": command_docs(
-        "discrete-traj", {"grid": grids, "c": fixed_c, "map": maps, "k_max": big},
-        iter=iters, supersample=counts),
+        "discrete-traj", {"grid": grids, "c": fixed_c, "map": maps, "k_max": frame_counts},
+        iter=iters, supersample=supersamples),
     "flow-traj": command_docs(
         "flow-traj",
-        {"grid": grids, "c": fixed_c, "flow": flows, "t_list": st.lists(finite, min_size=1)},
+        {"grid": grids, "c": fixed_c, "flow": flows,
+         "t_list": st.lists(finite, min_size=1, max_size=MAX_FRAMES)},
         iter=iters),
     "dimension": command_docs("dimension", {"grid": grids, "c": fixed_c}, iter=iters,
                               boundary=st.booleans(), min_box=boxes, max_box=boxes),
     # dst_grid may be left out only for identity and affine maps
     "verify-fmt": command_docs(
         "verify-fmt", {"grid": grids, "c": fixed_c, "map": maps, "dst_grid": grids},
-        iter=iters, supersample=counts)
+        iter=iters, supersample=supersamples)
     | command_docs(
         "verify-fmt",
         {"grid": grids, "c": fixed_c, "map": MAP_SPECS["identity"] | MAP_SPECS["affine"]},
-        iter=iters, supersample=counts),
+        iter=iters, supersample=supersamples),
     "zeno": command_docs("zeno", {"d0": positive, "t1": positive, "n": counts},
                          i0=big, px_w=st.integers(1, 2 ** 12), px_h=st.integers(1, 2 ** 12),
                          min_box=boxes, max_box=boxes),
@@ -467,6 +470,55 @@ def test_frames_at_the_size_caps_are_accepted():
     assert validate_config(julia_doc(grid=_grid(2 ** 24, 1), iter={"max_iter": 1024}))
     assert validate_config({"command": "zeno", "d0": 1.0, "t1": 1.0, "n": 4,
                             "px_w": 2 ** 12, "px_h": 2 ** 12, "output": "o"})
+
+
+def _traj_doc(**extra):
+    doc = {"command": "discrete-traj", "grid": _grid(512, 512), "c": [0, 0.25],
+           "map": {"kind": "affine", "a": [0.5, 0]}, "k_max": 5, "output": "o"}
+    return {**doc, **extra}
+
+
+def _flow_doc(t_list):
+    return {"command": "flow-traj", "grid": _grid(512, 512), "c": [0, 0.25],
+            "flow": {"kind": "limit_cycle"}, "t_list": t_list, "output": "o"}
+
+
+OVERSIZED_RUNS = [
+    (_traj_doc(supersample=10 ** 12), "supersample must be <= 32"),
+    (_traj_doc(supersample=MAX_SUPERSAMPLE + 1), "supersample must be <= 32"),
+    ({"command": "verify-fmt", "grid": _grid(512, 512), "c": [0, 0.25],
+      "map": {"kind": "identity"}, "supersample": 33, "output": "o"}, "supersample must be <= 32"),
+    (_traj_doc(k_max=10 ** 9), "k_max must be <= 1023"),
+    (_traj_doc(k_max=MAX_FRAMES), "k_max must be <= 1023"),
+    (_flow_doc([0.001 * i for i in range(100_000)]), "t_list must hold at most 1024 values"),
+    (_flow_doc([0.0] * (MAX_FRAMES + 1)), "t_list must hold at most 1024 values"),
+]
+
+
+@pytest.mark.parametrize("doc, message", OVERSIZED_RUNS)
+def test_oversized_runs_are_config_errors(doc, message):
+    with pytest.raises(ConfigError, match=message):
+        validate_config(doc)
+
+
+def test_runs_at_the_frame_and_supersample_caps_are_accepted():
+    # validated only, nothing is rendered
+    assert validate_config(_traj_doc(k_max=MAX_FRAMES - 1, supersample=MAX_SUPERSAMPLE))
+    assert validate_config(_flow_doc([0.0] * MAX_FRAMES))
+
+
+@pytest.mark.parametrize("doc", [OVERSIZED_RUNS[i][0] for i in (0, 3, 5)])
+def test_an_oversized_run_exits_1_without_running(doc, tmp_path, capsys, monkeypatch):
+    # supersample 10^12, k_max 10^9 and 100,000 t values on a 512^2 grid
+    def never(*args, **kwargs):
+        raise AssertionError("a rejected config was run")
+
+    monkeypatch.setattr("fractaldyn.cli.run_scene", never)
+    cfg = tmp_path / "scene.json"
+    cfg.write_text(json.dumps({**doc, "output": str(tmp_path / "big")}))
+    code = main(["run", "--config", str(cfg)])
+    assert code == 1 and "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("big*"))
 
 
 def test_an_oversized_frame_exits_1_before_anything_is_allocated(tmp_path, capsys):

@@ -9,7 +9,7 @@ from fractaldyn.analysis import compare_masks
 from fractaldyn.core import GridSpec, OrbitStatus, RasterField
 from fractaldyn.fji import IterParams, render_julia, render_mandelbrot
 from fractaldyn.flows import LimitCycle, NumericRK4
-from fractaldyn.fmi import (_covered, _offset_groups, discrete_trajectory, fmi_julia,
+from fractaldyn.fmi import (_covered, _cull, _offset_groups, discrete_trajectory, fmi_julia,
                             fmi_mandelbrot, forward_image)
 from fractaldyn.maps import (Affine, ArccosReciprocal, ArcsinRoot5, FlowMap, Identity,
                              QuadraticParam, ReciprocalSqrt, eval_forward)
@@ -216,40 +216,40 @@ def test_forward_image_of_a_sparse_source_builds_no_frame_of_points():
     assert fields_equal(out, splat_reference(src, Affine(0.5 + 0.5j, 0.1), dst, 3))
 
 
-def arccos_boxes():
-    """Boxes (re_lo, re_hi, im_lo, im_hi) of every shape the cull has to
-    handle: anywhere, reaching u <= 0 or u >= pi, thin strips around v = 0,
-    and far from the image (past cosh's overflow at |v| > 710 too)."""
-    ordered = lambda lo, hi: st.tuples(st.floats(lo, hi), st.floats(lo, hi)).map(sorted)
+def arccos_windows():
+    """Destination windows of every shape the cull has to handle: anywhere,
+    reaching u <= 0 or u >= pi, thin strips around v = 0, and far from the
+    image, at 1 to 48 pixels a side."""
+    span = st.floats(1e-3, 4.0)
+    px = st.integers(1, 48)
 
-    def box(re, im):
-        return st.tuples(re, im).map(lambda b: (*b[0], *b[1]))
+    def window(re, im, height=span):
+        return st.builds(GridSpec, st.builds(complex, re, im), span, height, px, px)
 
     return st.one_of(
-        box(ordered(-1.0, 4.5), ordered(-4.0, 4.0)),
-        box(st.tuples(st.floats(-1.0, 0.0), st.floats(0.0, 0.6)), ordered(-2.0, 2.0)),
-        box(st.tuples(st.floats(2.5, math.pi), st.floats(math.pi, 4.0)), ordered(-2.0, 2.0)),
-        box(ordered(-0.5, 3.7), st.tuples(st.floats(-1e-6, 0.0), st.floats(0.0, 1e-6))),
-        box(ordered(-0.5, 3.7), st.just((0.0, 0.0))),
-        box(ordered(10.0, 20.0), ordered(-3.0, 3.0)),
-        box(ordered(-1.0, 4.0), ordered(50.0, 800.0)),
+        window(st.floats(-1.0, 4.5), st.floats(-4.0, 4.0)),
+        window(st.floats(-0.3, 0.3), st.floats(-1.0, 1.0)),
+        window(st.floats(2.9, 3.4), st.floats(-1.0, 1.0)),
+        window(st.floats(0.0, 3.0), st.just(0.0), st.floats(1e-9, 1e-4)),
+        window(st.floats(10.0, 20.0), st.floats(50.0, 800.0)),
     )
 
 
-def arccos_centers(rng, box, radius, n=48):
-    """Centers near the box's preimage (the inverse map of points in the box
-    widened by 0.3, so many cells straddle its edge), random ones, centers
-    within radius of the pole, exactly 0 and NaN."""
-    re_lo, re_hi, im_lo, im_hi = box
-    v_lo, v_hi = np.clip((im_lo, im_hi), -30.0, 30.0)
-    w = rng.uniform(re_lo - 0.3, re_hi + 0.3, n) + 1j * rng.uniform(v_lo - 0.3, v_hi + 0.3, n)
-    with np.errstate(all="ignore"):
-        near = 1.0 / (1.0 + np.cos(w))
-    anywhere = rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n)
-    pole = radius * rng.uniform(0, 1, 8) * np.exp(2j * np.pi * rng.uniform(0, 1, 8))
-    rim = radius * (1 + rng.uniform(1e-6, 3, 8)) * np.exp(2j * np.pi * rng.uniform(0, 1, 8))
-    return np.concatenate([near[np.isfinite(near)], anywhere, pole, rim,
-                           [0j, complex(np.nan, 0.0), complex(0.0, np.nan)]])
+def arccos_source(rng, dst, pitch, where):
+    """A 30 x 30 source grid at about the given pitch around a point near the
+    preimage of dst widened by 0.3 (so many blocks straddle its edge), near
+    the pole at 0, near the cut's end at 1/2, or anywhere."""
+    if where == "near":
+        w = dst.center + complex(rng.uniform(-dst.width / 2 - 0.3, dst.width / 2 + 0.3),
+                                 rng.uniform(-dst.height / 2 - 0.3, dst.height / 2 + 0.3))
+        with np.errstate(all="ignore"):
+            center = complex(1.0 / (1.0 + np.cos(w)))
+        if not math.isfinite(abs(center)):
+            center = 0j
+    else:
+        base = {"pole": 0j, "half": 0.5 + 0j, "anywhere": complex(*rng.uniform(-3, 3, 2))}[where]
+        center = base + complex(*rng.uniform(-15, 15, 2)) * pitch
+    return GridSpec(center, 30 * pitch, 30 * pitch * rng.uniform(0.5, 2.0), 30, 30)
 
 
 def disc_offsets(radius, rng, n):
@@ -265,28 +265,29 @@ def disc_offsets(radius, rng, n):
 
 
 @settings(max_examples=200, deadline=None)
-@given(box=arccos_boxes(), radius=st.floats(1e-6, 0.5), seed=st.integers(0, 2**32 - 1))
-def test_arccos_misses_is_sound(box, radius, seed):
-    # a cell the cull drops has no sample, lattice or random, whose image
-    # lands in the box
+@given(dst=arccos_windows(), pitch=st.floats(1e-6, 0.05), marked=st.sampled_from([0.0, 0.5, 0.9]),
+       where=st.sampled_from(["near", "pole", "half", "anywhere"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_arccos_block_cull_is_sound(dst, pitch, marked, where, seed):
+    # a cell the cull drops has no sample, lattice or random, whose computed
+    # image lands in a pixel of the window that is not marked already
     m = ArccosReciprocal()
     rng = np.random.default_rng(seed)
-    centers = arccos_centers(rng, box, radius)
-    miss = m._misses(centers, radius, box)
-    assert not miss[-2:].any()  # NaN never misses
-    assert not miss[np.abs(centers) <= radius].any()
-    dropped = centers[miss]
-    w = eval_forward(m, dropped[:, np.newaxis] + disc_offsets(radius, rng, dropped.size))
-    re_lo, re_hi, im_lo, im_hi = box
-    inside = (re_lo <= w.real) & (w.real <= re_hi) & (im_lo <= w.imag) & (w.imag <= im_hi)
-    assert not inside.any(), (dropped[inside.any(axis=1)][:3], w[inside][:3])
-
-
-def padded_box(dst):
-    """The box forward_image culls against: the window plus one pixel."""
-    half_w, half_h = dst.width / 2 + dst.dx, dst.height / 2 + dst.dy
-    return (dst.center.real - half_w, dst.center.real + half_w,
-            dst.center.imag - half_h, dst.center.imag + half_h)
+    src = arccos_source(rng, dst, pitch, where)
+    marks = np.where(rng.random(dst.px_w * dst.px_h) < marked, OrbitStatus.BOUNDED,
+                     OrbitStatus.ESCAPED).astype(np.uint8)
+    flat = np.flatnonzero(rng.random(src.px_w * src.px_h) < 0.6)
+    kept = _cull(m, src, flat, marks, dst)
+    assert np.array_equal(kept, flat[np.isin(flat, kept)])
+    dropped = np.setdiff1d(flat, kept)
+    col_re, row_im = src.axes()
+    centers = col_re[dropped % src.px_w] + (1j * row_im)[dropped // src.px_w]
+    lattice = [complex(x, y) for s in range(1, 9) for x in ((np.arange(s) + 0.5) / s - 0.5) * src.dx
+               for y in ((np.arange(s) + 0.5) / s - 0.5) * src.dy]
+    inside = rng.uniform(-0.5, 0.5, (2, 256))
+    offsets = np.concatenate([lattice, inside[0] * src.dx + 1j * inside[1] * src.dy])
+    hits = dst.pixels_hit(eval_forward(m, (centers[:, np.newaxis] + offsets).reshape(-1)))
+    assert np.all(marks[hits] == OrbitStatus.BOUNDED), (src, dst)
 
 
 @pytest.mark.parametrize("dst", [
@@ -301,9 +302,7 @@ def test_forward_image_with_the_arccos_cull_equals_reference(dst):
     m = ArccosReciprocal()
     for src in (RasterField.filled(GridSpec(0j, 3.0, 3.0, 65, 65), OrbitStatus.BOUNDED),
                 render_julia(GridSpec(0j, 3.0, 3.0, 96, 96), 0.25j, P)):
-        centers = src.grid.points()[src.bounded_mask()]
-        miss = m._misses(centers, src.grid.half_pixel_diag, padded_box(dst))
-        assert 0 < miss.sum() < miss.size
+        assert 0 < kept_cells(m, src, dst) < src.bounded_count()
         for s in (1, 3, 8):
             assert fields_equal(forward_image(src, m, dst, supersample=s),
                                 splat_reference(src, m, dst, s)), s
@@ -320,9 +319,7 @@ def test_fmt_arccos_geometry_culls_most_bounded_cells(fmt_arccos):
     # if the cull stopped dropping cells the splat would still be right but
     # some four times slower
     src, dst = fmt_arccos
-    centers = src.grid.points()[src.bounded_mask()]
-    miss = ArccosReciprocal()._misses(centers, src.grid.half_pixel_diag, padded_box(dst))
-    assert miss.mean() >= 0.70
+    assert kept_cells(ArccosReciprocal(), src, dst) <= 0.30 * src.bounded_count()
 
 
 def counted_samples(monkeypatch):
@@ -338,13 +335,18 @@ def counted_samples(monkeypatch):
 
 
 def kept_cells(m, src, dst):
-    centers = src.grid.points()[src.bounded_mask()]
-    return int((~m._misses(centers, src.grid.half_pixel_diag, padded_box(dst))).sum())
+    """The Bounded cells of src the cull keeps against an unmarked destination."""
+    cells = np.flatnonzero(src.bounded_mask())
+    if m._lipschitz is None:
+        return cells.size
+    unmarked = np.full(dst.px_w * dst.px_h, OrbitStatus.ESCAPED, dtype=np.uint8)
+    return _cull(m, src.grid, cells, unmarked, dst).size
 
 
 def test_fmt_arccos_geometry_evaluates_few_samples(fmt_arccos, monkeypatch):
-    # nearly every sample the cull keeps would re-mark a marked pixel; if the
-    # group skip stopped firing the splat would be some five times slower
+    # nearly every sample of the kept cells would re-mark a marked pixel; if
+    # the group skip stopped firing the splat would be some five times slower.
+    # The cull's block-centre evaluations count too
     src, dst = fmt_arccos
     m = ArccosReciprocal()
     sizes = counted_samples(monkeypatch)
@@ -443,11 +445,16 @@ def test_forward_image_with_the_group_skip_equals_reference(m, src_grid, dst, fi
         assert (sum(sizes) < s * s * kept) == (fires and s > 2), (s, sum(sizes), kept)
 
 
-def test_maps_without_a_cull_miss_nowhere():
-    centers = np.array([0j, 5 + 5j, complex(np.nan, 0.0)])
-    far = (100.0, 101.0, 100.0, 101.0)
-    for m in (Identity(), Affine(2, 1), ArcsinRoot5(), ReciprocalSqrt()):
-        assert not m._misses(centers, 0.1, far).any()
+def test_maps_without_lipschitz_drop_nothing(monkeypatch):
+    # every image lands far outside the window: arccos, with a stretch bound,
+    # evaluates only its 4 block centres, the others every sample
+    src = RasterField.filled(GridSpec(2 + 2j, 1.0, 1.0, 8, 8), OrbitStatus.BOUNDED)
+    far = GridSpec(100 + 100j, 1.0, 1.0, 8, 8)
+    for m, evaluated in ((ArccosReciprocal(), 4), (Identity(), 576), (Affine(2, 1), 576),
+                         (ArcsinRoot5(), 576), (ReciprocalSqrt(), 576)):
+        sizes = counted_samples(monkeypatch)
+        assert forward_image(src, m, far, supersample=3).bounded_count() == 0
+        assert sum(sizes) == evaluated, m.kind
 
 
 def test_fmt_equality_affine_on_aligned_image_grid(basilica_512):

@@ -164,6 +164,80 @@ def test_round_trip_flow_map():
     assert np.max(np.abs(back - zs)) <= 1e-9
 
 
+# Round-trip properties away from the pole exclusions, the principal
+# square root's cut (quadratic_param) and limit_cycle's blow-up. Per kind:
+# a strategy for (spec, z) or (flow, t, z), and the tolerance on
+# |inverse(forward(z)) - z| at that point. Coordinates below 1e-12 (other
+# than 0) are left out: subnormal inputs lose the precision any tolerance
+# relative to |z| assumes.
+coords = st.floats(-3.0, 3.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-12)
+anywhere = st.builds(complex, coords, coords)
+off_pole = anywhere.filter(lambda z: abs(z) >= 1e-3) | st.builds(
+    lambda r, t: r * complex(math.cos(t), math.sin(t)),
+    st.floats(-8.0, -3.0).map(lambda e: 10.0 ** e), st.floats(0.0, 2 * math.pi))
+small = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+def limit_cycle_clear(case):
+    """Backward time past rho = 2 blows up where 4/rho^2 + e^(8t) - 1 reaches
+    0; keep that radicand above 1% of its terms."""
+    _, t, z = case
+    terms = 4.0 / abs(z) ** 2 + math.exp(8.0 * t) + 1.0
+    return terms - 2.0 >= 0.01 * terms
+
+
+FLOW_ROUND_TRIPS = {
+    "linear": (st.tuples(st.builds(Linear, small), st.floats(-1.0, 1.0), anywhere),
+               lambda f, t, z: 1e-13 * abs(z)),
+    "limit_cycle": (st.tuples(st.just(LimitCycle()), st.floats(-1.0, 1.0),
+                              anywhere.filter(lambda z: abs(z) >= 0.05)).filter(limit_cycle_clear),
+                    lambda f, t, z: 1e-13 * abs(z) * (1 + abs(z) ** 2) * math.exp(8 * abs(t))),
+    "periodic_forced": (st.tuples(st.builds(PeriodicForced, st.floats(-2.0, 2.0)),
+                                  st.floats(-3.0, 3.0), anywhere),
+                        lambda f, t, z: 1e-13 * (1 + abs(z)) * math.exp(abs(f.a * t))),
+}
+assert set(FLOW_ROUND_TRIPS) == set(FLOW_KINDS) - {"numeric_rk4"}
+
+
+def rel(m, z):
+    return 1e-12 * abs(z) * (1 + abs(z))
+
+
+MAP_ROUND_TRIPS = {
+    "identity": (st.tuples(st.just(Identity()), anywhere), lambda m, z: 0.0),
+    "affine": (st.tuples(st.builds(Affine, small.filter(lambda a: abs(a) >= 0.1), small),
+                         anywhere), lambda m, z: 1e-13 * (1 + abs(z) + abs(m.b / m.a))),
+    "arccos_reciprocal": (st.tuples(st.just(ArccosReciprocal()), off_pole), rel),
+    "arcsin_root5": (st.tuples(st.just(ArcsinRoot5()), anywhere), rel),
+    "reciprocal_sqrt": (st.tuples(st.just(ReciprocalSqrt()), off_pole), rel),
+    "quadratic_param": (st.tuples(st.builds(QuadraticParam, st.floats(-2.0, 2.0), small, small),
+                                  st.builds(complex, st.floats(1e-3, 3.0), coords)),
+                        lambda m, z: 1e-13 * (abs(z) + abs(m.shift) / abs(z))),
+    "flow": (st.one_of(*(cases.map(lambda c: (FlowMap(c[0], c[1]), c[2]))
+                         for cases, _ in FLOW_ROUND_TRIPS.values())),
+             lambda m, z: FLOW_ROUND_TRIPS[m.flow.kind][1](m.flow, m.t, z)),
+}
+assert set(MAP_ROUND_TRIPS) == set(MAP_KINDS)
+
+
+@pytest.mark.parametrize("kind", list(MAP_ROUND_TRIPS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_map_round_trip_property(kind, data):
+    cases, tol = MAP_ROUND_TRIPS[kind]
+    m, z = data.draw(cases)
+    assert abs(eval_inverse(m, eval_forward(m, z)) - z) <= tol(m, z)
+
+
+@pytest.mark.parametrize("kind", list(FLOW_ROUND_TRIPS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_closed_form_flow_round_trip_property(kind, data):
+    cases, tol = FLOW_ROUND_TRIPS[kind]
+    flow, t, z = data.draw(cases)
+    assert abs(flow_inverse(flow, flow_apply(flow, z, t), t) - z) <= tol(flow, t, z)
+
+
 def test_affine_ratio_constant():
     m = Affine(-1.5 + 2j, 0.3)
     u = halton_points(500)
