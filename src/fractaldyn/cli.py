@@ -23,7 +23,6 @@ from .fji import extract_boundary, render_julia, render_mandelbrot
 from .flows import trajectory_sweep
 from .fmi import discrete_trajectory, fmi_julia, fmi_mandelbrot, forward_image
 from .imaging import get_palette, write_image, write_metadata
-from .maps import Identity
 
 
 def _out_path(cfg: SceneConfig, suffix: str) -> Path:
@@ -93,14 +92,9 @@ def _run_dimension(cfg: SceneConfig, threads: int) -> tuple[dict, dict, list | N
     return {".ppm": mask}, stats, None
 
 def _run_verify_fmt(cfg: SceneConfig, threads: int) -> tuple[dict, dict, list | None]:
-    # validate_config requires dst_grid unless the map is identity or affine.
-    dst_grid = cfg.dst_grid
-    if dst_grid is None:
-        dst_grid = (cfg.grid if isinstance(cfg.map, Identity)
-                    else cfg.grid.affine_image(cfg.map.a, cfg.map.b))
     src = render_julia(cfg.grid, cfg.c, cfg.iter_params, threads)
-    fwd = forward_image(src, cfg.map, dst_grid, cfg.supersample)
-    fmi = fmi_julia(dst_grid, cfg.c, cfg.map, cfg.iter_params, threads)
+    fwd = forward_image(src, cfg.map, cfg.dst_grid, cfg.supersample)
+    fmi = fmi_julia(cfg.dst_grid, cfg.c, cfg.map, cfg.iter_params, threads)
     cmp = analysis.compare_masks(fwd, fmi)
     stats = {"bounded_count_forward": fwd.bounded_count(),
              "bounded_count_fmi": fmi.bounded_count(),

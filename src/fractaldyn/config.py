@@ -276,9 +276,14 @@ def validate_config(raw: dict, text: str = "") -> SceneConfig:
     for f in fields(SceneConfig):
         if _key(f) in keys and _key(f) in raw:
             values[f.name] = _parse_field(ctx, f, raw[_key(f)])
-    if (command == "verify-fmt" and "dst_grid" not in values
-            and not isinstance(values["map"], (Identity, Affine))):
-        ctx.fail("map", "dst_grid is required for non-affine maps")
+    if command == "verify-fmt" and "dst_grid" not in values:  # the window the map sends grid to
+        m, grid = values["map"], values["grid"]
+        if not isinstance(m, (Identity, Affine)):
+            ctx.fail("map", "dst_grid is required for non-affine maps")
+        try:
+            values["dst_grid"] = grid if isinstance(m, Identity) else grid.affine_image(m.a, m.b)
+        except (ValueError, OverflowError) as exc:  # say |a| * width overflows
+            ctx.fail("map", f"dst_grid: the affine image of grid is not a window: {exc}")
     # past |c| an escaped orbit of z^2 + c can come back (Milnor, section 9)
     radius = values.get("iter_params", IterParams()).escape_radius
     if "c" in values and abs(values["c"]) > radius:

@@ -219,20 +219,27 @@ def classify_grid(z0, c, params: IterParams, threads: int = 1):
     return status.reshape(shape), iters.reshape(shape), mags.reshape(shape)
 
 
+def _render(grid: GridSpec, params: IterParams, threads: int, pull=lambda w: w,
+            c: complex | None = None) -> RasterField:
+    """The pullback render: each pixel center, passed through pull, is the
+    seed under c or, with c None, the parameter of the orbit of 0."""
+    c = None if c is None else require_finite(c, "c")
+    w = pull(grid.points())
+    z0, c = (np.complex128(0), w) if c is None else (w, c)
+    return RasterField(grid, *classify_grid(z0, c, params, threads))
+
+
 def render_julia(grid: GridSpec, c: complex, params: IterParams = IterParams(),
                  threads: int = 1) -> RasterField:
     """Filled Julia raster: pixel (i, j) classifies its center as the seed."""
-    c = require_finite(c, "c")
-    status, iters, mags = classify_grid(grid.points(), c, params, threads)
-    return RasterField(grid, status, iters, mags)
+    return _render(grid, params, threads, c=c)
 
 
 def render_mandelbrot(grid: GridSpec, params: IterParams = IterParams(),
                       threads: int = 1) -> RasterField:
     """Mandelbrot raster: pixel (i, j) classifies the orbit of 0 with its
     center as the parameter."""
-    status, iters, mags = classify_grid(np.complex128(0), grid.points(), params, threads)
-    return RasterField(grid, status, iters, mags)
+    return _render(grid, params, threads)
 
 
 def extract_boundary(field: RasterField) -> RasterField:

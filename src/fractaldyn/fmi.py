@@ -3,7 +3,8 @@
 The conjugated iteration z -> f(F(f^{-1}(z))) with F(z) = z^2 + c has the
 same boundedness verdicts as the plain iteration run on the pulled-back
 seed, so every pixel is classified by evaluating f^{-1} once at its
-center and iterating z^2 + c from there. The escape index of that
+center and iterating z^2 + c from there: fji's one pullback render,
+_render, with eval_inverse as the pullback. The escape index of that
 pulled-back orbit is kept as the divergence-rate datum, and escape is
 always tested against the pullback-plane radius: for maps with bounded
 range the image-plane magnitudes may stay small even when the underlying
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _TILE_CELLS, GridSpec, OrbitStatus, RasterField, require_finite
-from .fji import IterParams, classify_grid, render_julia
+from .fji import IterParams, _render, classify_grid, render_julia
 from .maps import _ROUNDING, MapSpec, eval_forward, eval_inverse
 
 _BLOCK = 4  # side, in source pixels, of the blocks the cull tests with one evaluation each
@@ -42,19 +43,14 @@ def fmi_julia(grid: GridSpec, c: complex, m: MapSpec, params: IterParams = IterP
     classified; pixels whose pullback leaves the map's domain are Invalid.
     With the identity map this reproduces render_julia cell for cell.
     """
-    c = require_finite(c, "c")
-    w0 = eval_inverse(m, grid.points())
-    status, iters, mags = classify_grid(w0, c, params, threads)
-    return RasterField(grid, status, iters, mags)
+    return _render(grid, params, threads, lambda w: eval_inverse(m, w), c)
 
 
 def fmi_mandelbrot(grid: GridSpec, m: MapSpec, params: IterParams = IterParams(),
                    threads: int = 1) -> RasterField:
     """Image of the Mandelbrot set under m: each pixel's pullback becomes
     the parameter of the orbit of 0."""
-    c = eval_inverse(m, grid.points())
-    status, iters, mags = classify_grid(np.complex128(0), c, params, threads)
-    return RasterField(grid, status, iters, mags)
+    return _render(grid, params, threads, lambda w: eval_inverse(m, w))
 
 
 def _offset_groups(s: int) -> list:

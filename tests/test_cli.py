@@ -175,6 +175,36 @@ def test_verify_fmt_needs_dst_grid_for_transcendental(tmp_path, capsys):
     assert "config error" in err and "dst_grid" in err
 
 
+@pytest.mark.parametrize("m, dst_grid", [
+    ({"kind": "identity"}, grid16()),
+    # z -> (0.5 - 1.25i) z + 0.1 + 2i: the 3.2-wide grid at 0 scaled by |a| about b
+    ({"kind": "affine", "a": [0.5, -1.25], "b": [0.1, 2.0]},
+     {"center": [0.1, 2.0], "width": 3.2 * abs(0.5 - 1.25j), "height": 3.2 * abs(0.5 - 1.25j),
+      "px_w": 16, "px_h": 16}),
+], ids=["identity", "affine"])
+def test_verify_fmt_records_the_window_it_derives(tmp_path, m, dst_grid):
+    doc = {"command": "verify-fmt", "grid": grid16(), "c": [-1, 0], "map": m,
+           "iter": {"max_iter": 60}}
+    derived = write_config(tmp_path, {**doc, "output": str(tmp_path / "a/v")}, "a.json")
+    given = write_config(tmp_path, {**doc, "dst_grid": dst_grid,
+                                    "output": str(tmp_path / "b/v")}, "b.json")
+    assert main(["run", "--config", str(derived)]) == 0
+    assert main(["run", "--config", str(given)]) == 0
+    for suffix in ("_forward.ppm", "_fmi.ppm"):
+        assert (tmp_path / f"a/v{suffix}").read_bytes() == (tmp_path / f"b/v{suffix}").read_bytes()
+    assert json.loads((tmp_path / "a/v.json").read_text())["config"]["dst_grid"] == dst_grid
+
+
+def test_verify_fmt_affine_window_past_the_float_range_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "command": "verify-fmt", "grid": grid16(), "c": [-1, 0],
+        "map": {"kind": "affine", "a": [1e308, 0]}, "output": str(tmp_path / "out/v")})
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "dst_grid" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_dimension_sidecar_schema(tmp_path):
     cfg = write_config(tmp_path, {
         "command": "dimension",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fractaldyn.cli import main
+from fractaldyn.core import GridSpec
 from fractaldyn.config import (COMMANDS, MAX_FRAMES, MAX_SUPERSAMPLE, PALETTE_NAMES,
                                ConfigError, SceneConfig, apply_overrides, parse_config,
                                serialize_config, validate_config)
@@ -300,7 +301,9 @@ def test_top_level_key_bounds(key, command, lowest, below, message):
 
 COMMAND_DEFAULTS = {
     "discrete-traj": {"supersample": 3},
-    "verify-fmt": {"supersample": 3},
+    # the window the affine map z -> 2z + 1 sends the 3 x 3 grid at 0 to
+    "verify-fmt": {"supersample": 3, "dst_grid": {"center": [1.0, 0.0], "width": 6.0,
+                                                  "height": 6.0, "px_w": 16, "px_h": 16}},
     "dimension": {"boundary": True},
     "zeno": {"i0": 0, "px_w": 1024, "px_h": 512},
 }
@@ -356,6 +359,25 @@ maps = st.one_of(*MAP_SPECS.values())
 flows = st.one_of(*FLOW_SPECS.values())
 
 
+def _grid_of(doc: dict) -> GridSpec:
+    g = doc["grid"]
+    return GridSpec(complex(*g["center"]), g["width"], g["height"], g["px_w"], g["px_h"])
+
+
+def _derives_a_window(doc: dict) -> bool:
+    """Whether the affine image of the doc's grid, the dst_grid a verify-fmt
+    doc without one gets, stays inside the float range; past it the doc is a
+    config error (test_verify_fmt_window_past_the_float_range_is_a_config_error)."""
+    if doc["map"]["kind"] == "identity":
+        return True
+    try:
+        _grid_of(doc).affine_image(complex(*doc["map"]["a"]),
+                                   complex(*doc["map"].get("b", [0, 0])))
+    except (ValueError, OverflowError):
+        return False
+    return True
+
+
 def command_docs(command, required, **optional):
     return st.fixed_dictionaries(
         {"command": st.just(command), "output": st.text(min_size=1), **required},
@@ -383,14 +405,14 @@ COMMAND_DOCS = {
         iter=iters),
     "dimension": command_docs("dimension", {"grid": grids, "c": fixed_c}, iter=iters,
                               boundary=st.booleans(), min_box=boxes, max_box=boxes),
-    # dst_grid may be left out only for identity and affine maps
+    # dst_grid may be left out only for identity and affine maps, which derive it
     "verify-fmt": command_docs(
         "verify-fmt", {"grid": grids, "c": fixed_c, "map": maps, "dst_grid": grids},
         iter=iters, supersample=supersamples)
     | command_docs(
         "verify-fmt",
         {"grid": grids, "c": fixed_c, "map": MAP_SPECS["identity"] | MAP_SPECS["affine"]},
-        iter=iters, supersample=supersamples),
+        iter=iters, supersample=supersamples).filter(_derives_a_window),
     "zeno": command_docs("zeno", {"d0": positive, "t1": positive, "n": counts},
                          i0=big, px_w=st.integers(1, 2 ** 12), px_h=st.integers(1, 2 ** 12),
                          min_box=boxes, max_box=boxes),
@@ -556,3 +578,26 @@ def _perfbench_scenes():
     *_perfbench_scenes()])
 def test_every_recipe_and_benchmark_scene_is_within_the_size_caps(name, raw):
     assert isinstance(validate_config(raw), SceneConfig)
+
+
+@pytest.mark.parametrize("m, window", [
+    ({"kind": "identity"}, lambda grid: grid),
+    ({"kind": "affine", "a": [0.5, -1.25], "b": [0.1, 2.0]},
+     lambda grid: grid.affine_image(0.5 - 1.25j, 0.1 + 2j)),
+    ({"kind": "affine", "a": [2, 0]}, lambda grid: grid.affine_image(2, 0)),
+], ids=["identity", "affine", "affine-no-b"])
+def test_verify_fmt_derives_the_destination_window(m, window):
+    doc = {"command": "verify-fmt", "grid": _grid(24, 16), "c": [-1, 0], "map": m, "output": "o"}
+    cfg = validate_config(doc)
+    assert cfg.dst_grid == window(_grid_of(doc))
+    # the sidecar records the derived window; given back explicitly it reads the same
+    assert validate_config({**doc, "dst_grid": cfg.to_dict()["dst_grid"]}) == cfg
+
+
+@pytest.mark.parametrize("a, width", [([1e308, 1e308], 3.0), ([1e300, 0], 1e10),
+                                      ([1e-300, 0], 1e-30)])
+def test_verify_fmt_window_past_the_float_range_is_a_config_error(a, width):
+    doc = {"command": "verify-fmt", "grid": {**_grid(16, 16), "width": width},
+           "c": [-1, 0], "map": {"kind": "affine", "a": a}, "output": "o"}
+    with pytest.raises(ConfigError, match="dst_grid: the affine image of grid is not a window"):
+        validate_config(doc)

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from fractaldyn.analysis import compare_masks
 from fractaldyn.core import GridSpec, OrbitStatus, RasterField
-from fractaldyn.fji import IterParams, render_julia, render_mandelbrot
-from fractaldyn.flows import LimitCycle, NumericRK4
+from fractaldyn.fji import IterParams, classify_grid, render_julia, render_mandelbrot
+from fractaldyn.flows import LimitCycle, NumericRK4, fmi_flow_julia, flow_inverse
 from fractaldyn.fmi import (_covered, _cull, _offset_groups, discrete_trajectory, fmi_julia,
                             fmi_mandelbrot, forward_image)
 from fractaldyn.maps import (Affine, ArccosReciprocal, ArcsinRoot5, FlowMap, Identity,
-                             QuadraticParam, ReciprocalSqrt, eval_forward)
+                             QuadraticParam, ReciprocalSqrt, eval_forward, eval_inverse)
 
 from conftest import analytic_disk
 
@@ -23,6 +23,39 @@ def fields_equal(a, b):
     return (np.array_equal(a.status, b.status)
             and np.array_equal(a.escape_iter, b.escape_iter)
             and np.array_equal(a.last_magnitude, b.last_magnitude))
+
+
+# Each renderer against classify_grid on its pulled-back centers: seeds under c
+# for the Julia renderers, parameters of the orbit of 0 for the Mandelbrot ones.
+# ReciprocalSqrt's inverse has poles at +-i, both pixel centers of this grid,
+# and the limit cycle's inverse flow blows up in its corners, past radius 2.1.
+PIN_GRID = GridSpec(0j, 4.25, 4.25, 17, 17)
+PIN_C = -0.12 + 0.75j
+PIN_MAP, PIN_AFFINE, PIN_FLOW = ReciprocalSqrt(), Affine(0.5 + 0.25j, 0.1), LimitCycle()
+PIN_RENDERERS = {
+    "render_julia": (lambda g: render_julia(g, PIN_C, P),
+                     lambda w: classify_grid(w, PIN_C, P)),
+    "render_mandelbrot": (lambda g: render_mandelbrot(g, P),
+                          lambda w: classify_grid(np.complex128(0), w, P)),
+    "fmi_julia": (lambda g: fmi_julia(g, PIN_C, PIN_MAP, P),
+                  lambda w: classify_grid(eval_inverse(PIN_MAP, w), PIN_C, P)),
+    "fmi_mandelbrot": (lambda g: fmi_mandelbrot(g, PIN_AFFINE, P),
+                       lambda w: classify_grid(np.complex128(0), eval_inverse(PIN_AFFINE, w), P)),
+    "fmi_flow_julia": (lambda g: fmi_flow_julia(g, PIN_C, PIN_FLOW, 0.3, P),
+                       lambda w: classify_grid(flow_inverse(PIN_FLOW, w, 0.3), PIN_C, P)),
+}
+
+
+@pytest.mark.parametrize("name", list(PIN_RENDERERS))
+def test_renderer_equals_the_kernel_on_its_pulled_back_centers(name):
+    render, kernel = PIN_RENDERERS[name]
+    field = render(PIN_GRID)
+    expected = kernel(PIN_GRID.points())
+    for got, want in zip((field.status, field.escape_iter, field.last_magnitude), expected):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert field.grid == PIN_GRID
+    if name in ("fmi_julia", "fmi_flow_julia"):
+        assert field.invalid_mask().sum() > 0
 
 
 def test_identity_fmi_julia_equals_render(basilica_512):
