@@ -17,8 +17,7 @@ from .maps import (Affine, ArccosReciprocal, ArcsinRoot5, FlowMap, Identity,
 from .flows import (FLOW_KINDS, FlowSpec, LimitCycle, Linear, NumericRK4,
                     PeriodicForced, flow_apply, flow_inverse, fmi_flow_julia,
                     ode_residual, trajectory_sweep)
-from .fmi import (DiscreteTrajectory, discrete_trajectory, fmi_julia,
-                  fmi_mandelbrot, forward_image)
+from .fmi import discrete_trajectory, fmi_julia, fmi_mandelbrot, forward_image
 from .analysis import (DimensionEstimate, EmptyMaskError, InsufficientScalesError,
                        MaskComparison, MasksUndefinedError, ZenoDiagram,
                        box_counting_dimension, compare_masks, rasterize_zeno,
@@ -30,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Affine", "ArccosReciprocal", "ArcsinRoot5", "ConfigError",
-    "DimensionEstimate", "DiscreteTrajectory", "DomainError", "EmptyMaskError",
+    "DimensionEstimate", "DomainError", "EmptyMaskError",
     "FLOW_KINDS", "FlowMap", "FlowSpec", "GridSpec", "Identity",
     "InsufficientSamples", "InsufficientScalesError", "IterParams",
     "LimitCycle", "Linear", "MAP_KINDS", "MapSpec", "MaskComparison",

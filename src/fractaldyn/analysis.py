@@ -65,27 +65,33 @@ def _box_count(mask: np.ndarray, size: int) -> int:
     return int(blocks.any(axis=(1, 3)).sum())
 
 
-def box_counting_dimension(mask: RasterField, min_box: int, max_box: int) -> DimensionEstimate:
-    """Least-squares slope of log N(eps) vs log(1/eps) over dyadic box
-    sizes in [min_box, max_box], counted over the Bounded cells."""
-    grid = mask.grid
+def _box_range(px_w: int, px_h: int, min_box: int | None = None,
+               max_box: int | None = None) -> tuple[int, int, tuple[int, ...]]:
+    """min_box, max_box and the dyadic box sizes between them that box
+    counting fits over on a px_w x px_h raster. min_box defaults to 2 and
+    max_box to a quarter of the shorter side. ValueError unless 2 <= min_box
+    < max_box <= min(px_w, px_h) / 4 and at least 3 sizes fit."""
+    side = min(px_w, px_h) // 4
+    min_box = 2 if min_box is None else min_box
+    max_box = side if max_box is None else max_box
     if not (2 <= min_box < max_box):
         raise ValueError("need 2 <= min_box < max_box")
-    if max_box > min(grid.px_w, grid.px_h) // 4:
+    if max_box > side:
         raise ValueError("max_box must be <= min(px_w, px_h) / 4")
-    bounded = mask.bounded_mask()
-    if not bounded.any():
-        raise EmptyMaskError("mask has no Bounded cells")
-
-    sizes = []
-    s = 1
-    while s <= max_box:
-        if s >= min_box:
-            sizes.append(s)
-        s *= 2
+    sizes = tuple(2 ** e for e in range(max_box.bit_length()) if 2 ** e >= min_box)
     if len(sizes) < 3:
         raise InsufficientScalesError(
             f"only {len(sizes)} dyadic sizes in [{min_box}, {max_box}]")
+    return min_box, max_box, sizes
+
+
+def box_counting_dimension(mask: RasterField, min_box: int, max_box: int) -> DimensionEstimate:
+    """Least-squares slope of log N(eps) vs log(1/eps) over dyadic box
+    sizes in [min_box, max_box], counted over the Bounded cells."""
+    sizes = _box_range(mask.grid.px_w, mask.grid.px_h, min_box, max_box)[2]
+    bounded = mask.bounded_mask()
+    if not bounded.any():
+        raise EmptyMaskError("mask has no Bounded cells")
 
     counts = [_box_count(bounded, s) for s in sizes]
     x = np.log(1.0 / np.asarray(sizes, dtype=float))
@@ -94,7 +100,7 @@ def box_counting_dimension(mask: RasterField, min_box: int, max_box: int) -> Dim
     resid = y - (slope * x + intercept)
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot < 1e-30 else 1.0 - float((resid ** 2).sum()) / ss_tot
-    return DimensionEstimate(float(slope), r2, tuple(sizes), tuple(counts))
+    return DimensionEstimate(float(slope), r2, sizes, tuple(counts))
 
 
 def compare_masks(a: RasterField, b: RasterField) -> MaskComparison:
@@ -152,23 +158,27 @@ def zeno_states(d0: float, t1: float, n: int, i0: int) -> ZenoDiagram:
     return ZenoDiagram(times, heights)
 
 
-def rasterize_zeno(diagram: ZenoDiagram, px_w: int, px_h: int) -> RasterField:
-    """Render the diagram's vertical lines, one pixel wide, as a Bounded
-    mask: the x-window spans [t_{i0}, accumulation point], the y-window
-    [0, first height]."""
+def _zeno_window(diagram: ZenoDiagram, px_w: int, px_h: int) -> GridSpec:
+    """The window rasterize_zeno draws the diagram in: x spans [t_{i0},
+    accumulation point], y spans [0, first height]. ValueError where that
+    is not a GridSpec (say the first two times round to one float)."""
     times = diagram.times
-    heights = diagram.heights
     if len(times) < 2:
         raise ValueError("need at least 2 lines to infer the window")
     # The accumulation point equals t_i + 2*(t_{i+1} - t_i) for every i.
     t_max = 2.0 * times[1] - times[0]
     t0 = times[0]
-    h = heights[0]
-    grid = GridSpec(complex((t0 + t_max) / 2, h / 2), t_max - t0, h, px_w, px_h)
+    h = diagram.heights[0]
+    return GridSpec(complex((t0 + t_max) / 2, h / 2), t_max - t0, h, px_w, px_h)
 
+
+def rasterize_zeno(diagram: ZenoDiagram, px_w: int, px_h: int) -> RasterField:
+    """Render the diagram's vertical lines, one pixel wide, as a Bounded
+    mask in _zeno_window."""
+    grid = _zeno_window(diagram, px_w, px_h)
     field = RasterField.filled(grid, OrbitStatus.ESCAPED)
     ys = grid.axes()[1]
-    for t, d in zip(times, heights):
+    for t, d in zip(diagram.times, diagram.heights):
         hit = grid.pixel_of(complex(t, grid.center.imag))
         if hit is not None:
             field.status[ys <= d, hit[0]] = OrbitStatus.BOUNDED

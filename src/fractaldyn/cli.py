@@ -1,12 +1,13 @@
 """Command-line entry point: run one scene config, write images and a
 metadata sidecar.
 
-    fractaldyn run --config scene.json [--override key=value ...] [--threads N]
+    fractaldyn run --config scene.json [--override key=value ...]
 
-Exit codes: 0 success, 1 config error, 2 runtime error. Single-image
-commands write <output>.ppm; multi-frame commands write numbered frames
-plus <output>_manifest.json. Every run writes <output>.json with the
-resolved config and run statistics.
+Exit codes: 0 success, 1 config error, 2 runtime error. argparse exits 2
+too, on an unknown option such as the thread count older versions took.
+Single-image commands write <output>.ppm; multi-frame commands write
+numbered frames plus <output>_manifest.json. Every run writes
+<output>.json with the resolved config and run statistics.
 """
 
 from __future__ import annotations
@@ -33,11 +34,9 @@ def _out_path(cfg: SceneConfig, suffix: str) -> Path:
 
 def _box_dimension(cfg: SceneConfig, mask) -> dict:
     """Box-counting fit over the mask's Bounded cells, as sidecar stats,
-    with the box range it was fitted over. min_box defaults to 2, max_box
-    to a quarter of the shorter raster side."""
-    min_box = cfg.min_box if cfg.min_box is not None else 2
-    max_box = (cfg.max_box if cfg.max_box is not None
-               else min(mask.grid.px_w, mask.grid.px_h) // 4)
+    with the box range it was fitted over (analysis._box_range's defaults)."""
+    min_box, max_box, _ = analysis._box_range(mask.grid.px_w, mask.grid.px_h,
+                                              cfg.min_box, cfg.max_box)
     est = analysis.box_counting_dimension(mask, min_box, max_box)
     return {"slope": est.slope, "r_squared": est.r_squared,
             "min_box": min_box, "max_box": max_box,
@@ -65,10 +64,10 @@ def _run_image(cfg: SceneConfig, threads: int) -> tuple[dict, dict, list | None]
     return {".ppm": field}, stats, None
 
 def _run_discrete_traj(cfg: SceneConfig, threads: int) -> tuple[dict, dict, list | None]:
-    traj = discrete_trajectory(cfg.c, cfg.map, cfg.k_max, cfg.grid,
-                               cfg.iter_params, cfg.supersample, threads)
+    pullback, pushforward = discrete_trajectory(cfg.c, cfg.map, cfg.k_max, cfg.grid,
+                                                cfg.iter_params, cfg.supersample, threads)
     frames, rows = {}, []
-    for k, (pull, push) in enumerate(zip(traj.pullback, traj.pushforward)):
+    for k, (pull, push) in enumerate(zip(pullback, pushforward)):
         frames[f"_k{k:03d}.ppm"], frames[f"_push_k{k:03d}.ppm"] = pull, push
         rows.append({"k": k, "pullback": Path(f"{cfg.output}_k{k:03d}.ppm").name,
                      "pushforward": Path(f"{cfg.output}_push_k{k:03d}.ppm").name,
@@ -153,9 +152,6 @@ def main(argv=None) -> int:
     run.add_argument("--config", required=True, help="path to a scene JSON file")
     run.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                      help="override a scalar config field (dotted path)")
-    run.add_argument("--threads", type=int, default=1,
-                     help="render worker threads, capped at the usable CPU count; "
-                          "output does not depend on it")
     args = parser.parse_args(argv)
 
     try:
@@ -165,7 +161,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        run_scene(cfg, args.threads)
+        run_scene(cfg)
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
+from .analysis import _box_range, _zeno_window, zeno_states
 from .core import GridSpec
 from .fji import IterParams
 from .flows import FLOW_KINDS, FlowSpec
@@ -237,7 +238,7 @@ class SceneConfig:
     boundary: bool = True
     d0: float | None = field(default=None, metadata={"min": 0})
     t1: float | None = field(default=None, metadata={"min": 0})
-    n: int | None = field(default=None, metadata={"min": 1})
+    n: int | None = field(default=None, metadata={"min": 1, "max": MAX_FRAMES})
     i0: int = field(default=0, metadata={"min": 0})
     px_w: int = field(default=1024, metadata={"min": 1})
     px_h: int = field(default=512, metadata={"min": 1})
@@ -299,6 +300,17 @@ def validate_config(raw: dict, text: str = "") -> SceneConfig:
         if px_w * px_h * max_iter > MAX_CELL_ITERATIONS:
             ctx.fail(key, f"{key}: {px_w} x {px_h} pixels at max_iter {max_iter} exceed the "
                           f"limit of {MAX_CELL_ITERATIONS} cell-iterations")
+    if command == "zeno" and cfg.n >= 2:  # the window rasterize_zeno will draw in
+        try:
+            _zeno_window(zeno_states(cfg.d0, cfg.t1, 2, cfg.i0), cfg.px_w, cfg.px_h)
+        except (ValueError, OverflowError) as exc:  # say 2 * t1 overflows, or i0 is huge
+            ctx.fail("t1", f"the zeno lines have no window: {exc}")
+    if command == "dimension" or (command == "zeno" and cfg.n >= 2):  # both box count
+        px_w, px_h = rasters["grid" if command == "dimension" else "px_w"]
+        try:
+            _box_range(px_w, px_h, cfg.min_box, cfg.max_box)
+        except ValueError as exc:
+            ctx.fail("max_box", f"box counting on {px_w} x {px_h} pixels: {exc}")
     return cfg
 
 

@@ -18,13 +18,13 @@ bound (MapSpec._lipschitz) it skips the samples that bound proves could
 only mark pixels that are marked already or lie outside the window. When
 f stretches distances by at most l2, supersampling at source pitch / s
 keeps the splat spacing below the destination pitch whenever
-l2 * src_pitch / s <= dst_pitch.
+l2 * src_pitch / s <= dst_pitch. discrete_trajectory runs both routes k
+times over and returns their frames as two lists.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,23 +188,12 @@ def forward_image(src_field: RasterField, m: MapSpec, dst_grid: GridSpec,
     return out
 
 
-@dataclass
-class DiscreteTrajectory:
-    """Frames of a map-iterated fractal, by both construction routes.
-
-    pullback[k] classifies each pixel through the k-fold inverse map;
-    pushforward[k] is the k-fold forward_image of the starting frame.
-    Element 0 of both is the plain Julia render.
-    """
-
-    pullback: list[RasterField]
-    pushforward: list[RasterField]
-
-
 def discrete_trajectory(c: complex, m: MapSpec, k_max: int, grid: GridSpec,
                         params: IterParams = IterParams(), supersample: int = 3,
-                        threads: int = 1) -> DiscreteTrajectory:
-    """Iterate a Julia set under a map: frame k is the k-fold image.
+                        threads: int = 1) -> tuple[list[RasterField], list[RasterField]]:
+    """Iterate a Julia set under a map: frame k is the k-fold image, by both
+    construction routes. Returns the lists (pullback, pushforward), each of
+    k_max + 1 frames; element 0 of both is the plain Julia render.
 
     Pullback frames apply eval_inverse k times (principal branches at each
     step) before orbit classification; pixels whose pullback chain leaves
@@ -225,4 +214,4 @@ def discrete_trajectory(c: complex, m: MapSpec, k_max: int, grid: GridSpec,
         status, iters, mags = classify_grid(w, c, params, threads)
         pullback.append(RasterField(grid, status, iters, mags))
         pushforward.append(forward_image(pushforward[-1], m, grid, supersample))
-    return DiscreteTrajectory(pullback, pushforward)
+    return pullback, pushforward

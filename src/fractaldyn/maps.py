@@ -59,11 +59,6 @@ class MapSpec:
     # forward splat then evaluates every sample.
     _lipschitz = None
 
-    def iterated(self, k: int) -> "MapSpec":
-        """The k-fold composition of this map with itself, where it has a
-        closed form in the registry."""
-        raise NotImplementedError(f"{self.kind} has no closed-form iterate")
-
 
 def eval_forward(m: MapSpec, z):
     """f(z). Scalars raise DomainError outside the domain; ndarrays mark
@@ -98,9 +93,6 @@ class Identity(MapSpec):
     def _inverse_array(self, w):
         return w
 
-    def iterated(self, k):
-        return self
-
 
 @dataclass(frozen=True)
 class Affine(MapSpec):
@@ -119,16 +111,6 @@ class Affine(MapSpec):
 
     def _inverse_array(self, w):
         return (w - self.b) / self.a
-
-    def iterated(self, k):
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        if k == 0:
-            return Identity()
-        a, b = complex(self.a), complex(self.b)
-        ak = a ** k
-        bk = b * sum(a ** j for j in range(k))
-        return Affine(ak, bk)
 
 
 @dataclass(frozen=True)

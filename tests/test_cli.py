@@ -130,10 +130,11 @@ def test_parameter_plane_commands_take_any_radius(tmp_path):
 
 
 def test_runtime_error_returns_two(tmp_path, capsys):
-    # box counting needs >= 3 dyadic scales: 16px grid with max_box 4 has two
+    # the output directory cannot be made under a regular file
+    (tmp_path / "file").write_text("")
     cfg = write_config(tmp_path, {
-        "command": "dimension", "grid": grid16(), "c": [0, 0],
-        "min_box": 2, "max_box": 4, "output": str(tmp_path / "out/d")})
+        "command": "julia", "grid": grid16(), "c": [0, 0],
+        "output": str(tmp_path / "file/d")})
     assert main(["run", "--config", str(cfg)]) == 2
     assert "runtime error" in capsys.readouterr().err
 
@@ -286,18 +287,15 @@ def test_identical_runs_are_byte_identical(tmp_path):
     assert a == b
 
 
-def test_threads_do_not_change_output(tmp_path):
-    doc = {"command": "mandelbrot",
-           "grid": {"center": [-0.6, 0], "width": 3.0, "height": 3.0,
-                    "px_w": 96, "px_h": 96},
-           "iter": {"max_iter": 150}, "output": ""}
-    outs = []
-    for sub, threads in (("t1", "1"), ("t4", "4")):
-        doc["output"] = str(tmp_path / sub / "img")
-        cfg = write_config(tmp_path, doc, f"{sub}.json")
-        assert main(["run", "--config", str(cfg), "--threads", threads]) == 0
-        outs.append((tmp_path / sub / "img.ppm").read_bytes())
-    assert outs[0] == outs[1]
+def test_removed_threads_option_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "command": "julia", "grid": grid16(), "c": [-1, 0],
+        "output": str(tmp_path / "out/img")})
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_pixels_use_reserved_color(tmp_path):

@@ -198,7 +198,9 @@ def all_command_docs():
         {"command": "flow-traj", "grid": grid, "c": [-1, 0],
          "flow": {"kind": "periodic_forced", "a": 0.01}, "t_list": [0, 1.0],
          "output": "o"},
-        {"command": "dimension", "grid": grid, "c": [-1, 0], "output": "o"},
+        # 32 px: box counting needs 3 dyadic sizes up to a quarter of the side
+        {"command": "dimension", "grid": {**grid, "px_w": 32, "px_h": 32}, "c": [-1, 0],
+         "output": "o"},
         {"command": "verify-fmt", "grid": grid, "c": [-1, 0],
          "map": {"kind": "affine", "a": [2, 0], "b": [1, 0]}, "output": "o"},
         {"command": "zeno", "d0": 1, "t1": 1, "n": 5, "output": "o"},
@@ -294,6 +296,8 @@ def test_override_of_unknown_key_still_rejected():
 ])
 def test_top_level_key_bounds(key, command, lowest, below, message):
     doc = next(d for d in all_command_docs() if d["command"] == command)
+    if command == "zeno":  # one line draws no raster, so no window or box range is checked
+        doc = {**doc, "n": 1}
     assert getattr(parse_config(json.dumps({**doc, key: lowest})), key) == lowest
     with pytest.raises(ConfigError, match=rf"^line 1: {key} must be {message}$"):
         parse_config(json.dumps({**doc, key: below}))
@@ -325,7 +329,6 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 pairs = st.lists(finite, min_size=2, max_size=2)
 fixed_c = st.lists(st.floats(-1.4, 1.4), min_size=2, max_size=2)  # |c| < 2 <= escape_radius
-counts = st.integers(1, 10 ** 30)
 # 2048 x 2048 pixels at max_iter 4096 is MAX_CELL_ITERATIONS exactly
 sides = st.integers(1, 2 ** 11)
 grids = st.fixed_dictionaries({"center": pairs, "width": positive, "height": positive,
@@ -384,10 +387,30 @@ def command_docs(command, required, **optional):
         optional={"palette": st.sampled_from(PALETTE_NAMES), **optional})
 
 
-big = st.integers(0, 10 ** 30)
 frame_counts = st.integers(0, MAX_FRAMES - 1)
 supersamples = st.integers(1, MAX_SUPERSAMPLE)
-boxes = st.integers(2, 10 ** 30)
+
+
+def with_box_range(docs, raster):
+    """docs with optional min_box and max_box that box counting accepts on
+    the (px_w, px_h) raster(doc) gives: at least 3 dyadic sizes between them,
+    up to a quarter of the shorter side, which must be 32 px or more."""
+    def add(doc):
+        side = min(raster(doc)) // 4
+        top = 1 << (side.bit_length() - 1)  # the largest dyadic size that fits
+        # with p the first power of two >= lo, [lo, 4p] holds the sizes p, 2p and 4p
+        return st.integers(2, top // 4).flatmap(lambda lo: st.fixed_dictionaries({}, optional={
+            "min_box": st.just(lo),
+            "max_box": st.integers(4 << (lo - 1).bit_length(), side)})).map(
+                lambda box: {**doc, **box})
+    return docs.flatmap(add)
+
+
+boxed_sides = st.integers(32, 2 ** 11)
+boxed_grids = st.fixed_dictionaries({"center": pairs, "width": positive, "height": positive,
+                                     "px_w": boxed_sides, "px_h": boxed_sides})
+# a zeno window stays a window: 2 * t1 finite, and t_{i0} and t_{i0+1} apart
+zeno_reals = st.floats(1e-100, 1e100)
 COMMAND_DOCS = {
     "julia": command_docs("julia", {"grid": grids, "c": fixed_c}, iter=iters),
     "mandelbrot": command_docs("mandelbrot", {"grid": grids}, iter=iters),
@@ -403,8 +426,10 @@ COMMAND_DOCS = {
         {"grid": grids, "c": fixed_c, "flow": flows,
          "t_list": st.lists(finite, min_size=1, max_size=MAX_FRAMES)},
         iter=iters),
-    "dimension": command_docs("dimension", {"grid": grids, "c": fixed_c}, iter=iters,
-                              boundary=st.booleans(), min_box=boxes, max_box=boxes),
+    "dimension": with_box_range(
+        command_docs("dimension", {"grid": boxed_grids, "c": fixed_c}, iter=iters,
+                     boundary=st.booleans()),
+        lambda doc: (doc["grid"]["px_w"], doc["grid"]["px_h"])),
     # dst_grid may be left out only for identity and affine maps, which derive it
     "verify-fmt": command_docs(
         "verify-fmt", {"grid": grids, "c": fixed_c, "map": maps, "dst_grid": grids},
@@ -413,9 +438,12 @@ COMMAND_DOCS = {
         "verify-fmt",
         {"grid": grids, "c": fixed_c, "map": MAP_SPECS["identity"] | MAP_SPECS["affine"]},
         iter=iters, supersample=supersamples).filter(_derives_a_window),
-    "zeno": command_docs("zeno", {"d0": positive, "t1": positive, "n": counts},
-                         i0=big, px_w=st.integers(1, 2 ** 12), px_h=st.integers(1, 2 ** 12),
-                         min_box=boxes, max_box=boxes),
+    "zeno": with_box_range(
+        command_docs("zeno", {"d0": zeno_reals, "t1": zeno_reals,
+                              "n": st.integers(1, MAX_FRAMES)},
+                     i0=st.integers(0, 40), px_w=st.integers(32, 2 ** 12),
+                     px_h=st.integers(32, 2 ** 12)),
+        lambda doc: (doc.get("px_w", 1024), doc.get("px_h", 512))),
 }
 SCENE_DOCS = {
     **COMMAND_DOCS,
@@ -529,9 +557,9 @@ def test_runs_at_the_frame_and_supersample_caps_are_accepted():
     assert validate_config(_flow_doc([0.0] * MAX_FRAMES))
 
 
-@pytest.mark.parametrize("doc", [OVERSIZED_RUNS[i][0] for i in (0, 3, 5)])
-def test_an_oversized_run_exits_1_without_running(doc, tmp_path, capsys, monkeypatch):
-    # supersample 10^12, k_max 10^9 and 100,000 t values on a 512^2 grid
+def exits_1_without_running(doc, tmp_path, capsys, monkeypatch) -> str:
+    """The CLI's stderr for doc, after checking that it exits 1 and neither
+    runs the scene nor writes anything."""
     def never(*args, **kwargs):
         raise AssertionError("a rejected config was run")
 
@@ -539,8 +567,55 @@ def test_an_oversized_run_exits_1_without_running(doc, tmp_path, capsys, monkeyp
     cfg = tmp_path / "scene.json"
     cfg.write_text(json.dumps({**doc, "output": str(tmp_path / "big")}))
     code = main(["run", "--config", str(cfg)])
-    assert code == 1 and "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert code == 1 and "config error" in err
     assert not list(tmp_path.glob("big*"))
+    return err
+
+
+@pytest.mark.parametrize("doc", [OVERSIZED_RUNS[i][0] for i in (0, 3, 5)])
+def test_an_oversized_run_exits_1_without_running(doc, tmp_path, capsys, monkeypatch):
+    # supersample 10^12, k_max 10^9 and 100,000 t values on a 512^2 grid
+    exits_1_without_running(doc, tmp_path, capsys, monkeypatch)
+
+
+def _zeno_doc(**extra):
+    return {"command": "zeno", "d0": 1.0, "t1": 1.0, "n": 5, **extra}
+
+
+def _dimension_doc(side, **extra):
+    return {"command": "dimension", "grid": _grid(side, side), "c": [0, 0], **extra}
+
+
+# Configs that used to validate and then fail in the run, or never finish it.
+REFUSED_RUNS = {
+    "zeno-n-1e18": (_zeno_doc(n=10 ** 18), "n must be <= 1024"),
+    "zeno-i0-1e30": (_zeno_doc(i0=10 ** 30), "no window: width must be positive"),
+    "zeno-i0-1100": (_zeno_doc(i0=1100), "no window: width must be positive"),
+    "zeno-i0-1e400": (_zeno_doc(i0=10 ** 400), "no window: int too large"),
+    "zeno-t1-1e308": (_zeno_doc(t1=1e308), "no window: center must be finite"),
+    "zeno-8px": (_zeno_doc(px_w=8, px_h=8), "8 x 8 pixels: need 2 <= min_box < max_box"),
+    "dimension-min-8-max-4": (_dimension_doc(64, min_box=8, max_box=4),
+                              "need 2 <= min_box < max_box"),
+    "dimension-16px-max-8": (_dimension_doc(16, max_box=8), "max_box must be <="),
+    "dimension-16px-max-4": (_dimension_doc(16, max_box=4), "only 2 dyadic sizes in [2, 4]"),
+}
+
+
+@pytest.mark.parametrize("doc, message", REFUSED_RUNS.values(), ids=REFUSED_RUNS)
+def test_a_config_the_run_would_refuse_exits_1_without_running(doc, message, tmp_path,
+                                                                capsys, monkeypatch):
+    assert message in exits_1_without_running(doc, tmp_path, capsys, monkeypatch)
+
+
+def test_zeno_and_box_ranges_at_their_edges_are_accepted():
+    # validated only, nothing is rendered
+    assert validate_config(_zeno_doc(n=MAX_FRAMES, output="o"))
+    assert validate_config(_zeno_doc(i0=40, t1=1e100, d0=1e-100, output="o"))
+    assert validate_config(_zeno_doc(px_w=32, px_h=32, output="o"))
+    assert validate_config(_zeno_doc(n=1, px_w=1, px_h=1, max_box=2, output="o"))
+    assert validate_config(_dimension_doc(32, output="o"))
+    assert validate_config(_dimension_doc(64, min_box=3, max_box=16, output="o"))
 
 
 def test_an_oversized_frame_exits_1_before_anything_is_allocated(tmp_path, capsys):

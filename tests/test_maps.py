@@ -312,17 +312,6 @@ def test_bilipschitz_insufficient_samples():
         estimate_bilipschitz(ArccosReciprocal(), region, 500)
 
 
-def test_affine_iterated_composition():
-    m = Affine(0.5, 0)
-    m3 = m.iterated(3)
-    assert m3.a == 0.125 and m3.b == 0
-    n = Affine(2, 1)
-    n2 = n.iterated(2)
-    # f(f(z)) = 2(2z+1)+1 = 4z+3
-    assert n2.a == 4 and n2.b == 3
-    assert isinstance(n.iterated(0), Identity)
-
-
 def test_scalar_requires_finite_input():
     with pytest.raises(ValueError):
         eval_forward(Identity(), complex(np.nan, 0))
