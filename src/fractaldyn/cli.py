@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import analysis
 from .config import ConfigError, SceneConfig, parse_config
-from .fji import extract_boundary, render_julia, render_mandelbrot
+from .fji import _ignore_threads, extract_boundary, render_julia, render_mandelbrot
 from .flows import trajectory_sweep
 from .fmi import discrete_trajectory, fmi_julia, fmi_mandelbrot, forward_image
 from .imaging import get_palette, write_image, write_metadata
@@ -47,25 +47,23 @@ def _box_dimension(cfg: SceneConfig, mask) -> dict:
 # a renderer rebound on this module (say, wrapped by a tracer) is the one
 # that runs.
 _RENDERERS = {
-    "julia": lambda cfg, threads: render_julia(cfg.grid, cfg.c, cfg.iter_params, threads),
-    "mandelbrot": lambda cfg, threads: render_mandelbrot(cfg.grid, cfg.iter_params, threads),
-    "fmi-julia": lambda cfg, threads: fmi_julia(cfg.grid, cfg.c, cfg.map, cfg.iter_params,
-                                                threads),
-    "fmi-mandelbrot": lambda cfg, threads: fmi_mandelbrot(cfg.grid, cfg.map, cfg.iter_params,
-                                                          threads),
+    "julia": lambda cfg: render_julia(cfg.grid, cfg.c, cfg.iter_params),
+    "mandelbrot": lambda cfg: render_mandelbrot(cfg.grid, cfg.iter_params),
+    "fmi-julia": lambda cfg: fmi_julia(cfg.grid, cfg.c, cfg.map, cfg.iter_params),
+    "fmi-mandelbrot": lambda cfg: fmi_mandelbrot(cfg.grid, cfg.map, cfg.iter_params),
 }
 
 
-def _run_image(cfg: SceneConfig, threads: int) -> tuple[dict, dict, list | None]:
-    field = _RENDERERS[cfg.command](cfg, threads)
+def _run_image(cfg: SceneConfig) -> tuple[dict, dict, list | None]:
+    field = _RENDERERS[cfg.command](cfg)
     stats = {"bounded_count": field.bounded_count()}
     if cfg.map is not None:
         stats["invalid_count"] = int(field.invalid_mask().sum())
     return {".ppm": field}, stats, None
 
-def _run_discrete_traj(cfg: SceneConfig, threads: int) -> tuple[dict, dict, list | None]:
+def _run_discrete_traj(cfg: SceneConfig) -> tuple[dict, dict, list | None]:
     pullback, pushforward = discrete_trajectory(cfg.c, cfg.map, cfg.k_max, cfg.grid,
-                                                cfg.iter_params, cfg.supersample, threads)
+                                                cfg.iter_params, cfg.supersample)
     frames, rows = {}, []
     for k, (pull, push) in enumerate(zip(pullback, pushforward)):
         frames[f"_k{k:03d}.ppm"], frames[f"_push_k{k:03d}.ppm"] = pull, push
@@ -74,9 +72,8 @@ def _run_discrete_traj(cfg: SceneConfig, threads: int) -> tuple[dict, dict, list
                      "bounded_count": pull.bounded_count()})
     return frames, {}, rows
 
-def _run_flow_traj(cfg: SceneConfig, threads: int) -> tuple[dict, dict, list | None]:
-    fields = trajectory_sweep(cfg.grid, cfg.c, cfg.flow, cfg.t_list,
-                              cfg.iter_params, threads)
+def _run_flow_traj(cfg: SceneConfig) -> tuple[dict, dict, list | None]:
+    fields = trajectory_sweep(cfg.grid, cfg.c, cfg.flow, cfg.t_list, cfg.iter_params)
     frames, rows = {}, []
     for idx, (field, t) in enumerate(zip(fields, cfg.t_list)):
         frames[f"_{idx:03d}.ppm"] = field
@@ -84,23 +81,23 @@ def _run_flow_traj(cfg: SceneConfig, threads: int) -> tuple[dict, dict, list | N
                      "bounded_count": field.bounded_count()})
     return frames, {}, rows
 
-def _run_dimension(cfg: SceneConfig, threads: int) -> tuple[dict, dict, list | None]:
-    field = render_julia(cfg.grid, cfg.c, cfg.iter_params, threads)
+def _run_dimension(cfg: SceneConfig) -> tuple[dict, dict, list | None]:
+    field = render_julia(cfg.grid, cfg.c, cfg.iter_params)
     mask = extract_boundary(field) if cfg.boundary else field
     stats = {"bounded_count": mask.bounded_count(), "dimension": _box_dimension(cfg, mask)}
     return {".ppm": mask}, stats, None
 
-def _run_verify_fmt(cfg: SceneConfig, threads: int) -> tuple[dict, dict, list | None]:
-    src = render_julia(cfg.grid, cfg.c, cfg.iter_params, threads)
+def _run_verify_fmt(cfg: SceneConfig) -> tuple[dict, dict, list | None]:
+    src = render_julia(cfg.grid, cfg.c, cfg.iter_params)
     fwd = forward_image(src, cfg.map, cfg.dst_grid, cfg.supersample)
-    fmi = fmi_julia(cfg.dst_grid, cfg.c, cfg.map, cfg.iter_params, threads)
+    fmi = fmi_julia(cfg.dst_grid, cfg.c, cfg.map, cfg.iter_params)
     cmp = analysis.compare_masks(fwd, fmi)
     stats = {"bounded_count_forward": fwd.bounded_count(),
              "bounded_count_fmi": fmi.bounded_count(),
              "comparison": {"jaccard": cmp.jaccard, "hausdorff_px": cmp.hausdorff_px}}
     return {"_forward.ppm": fwd, "_fmi.ppm": fmi}, stats, None
 
-def _run_zeno(cfg: SceneConfig, threads: int) -> tuple[dict, dict, list | None]:
+def _run_zeno(cfg: SceneConfig) -> tuple[dict, dict, list | None]:
     diagram = analysis.zeno_states(cfg.d0, cfg.t1, cfg.n, cfg.i0)
     stats: dict = {"times": list(diagram.times), "heights": list(diagram.heights)}
     if cfg.n < 2:
@@ -126,9 +123,10 @@ _RUNNERS = {
 
 def run_scene(cfg: SceneConfig, threads: int = 1) -> dict:
     """Execute a validated scene and write its frames, manifest and sidecar;
-    returns the stats written to the sidecar."""
+    returns the stats written to the sidecar; threads is deprecated and ignored."""
+    _ignore_threads(threads)
     t0 = time.perf_counter()
-    frames, stats, rows = _RUNNERS[cfg.command](cfg, threads)
+    frames, stats, rows = _RUNNERS[cfg.command](cfg)
     palette = get_palette(cfg.palette)
     for suffix, field in frames.items():
         write_image(field, palette, _out_path(cfg, suffix))

@@ -24,9 +24,9 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from .analysis import _box_range, _zeno_window, zeno_states
 from .core import GridSpec
 from .fji import IterParams
-from .flows import FLOW_KINDS, FlowSpec
+from .flows import FLOW_KINDS, FlowSpec, NumericRK4
 from .imaging import PALETTES
-from .maps import MAP_KINDS, Affine, Identity, MapSpec
+from .maps import MAP_KINDS, Affine, FlowMap, Identity, MapSpec
 
 
 class ConfigError(ValueError):
@@ -214,7 +214,7 @@ MAX_PIXELS = 2 ** 24  # 4096 x 4096
 MAX_CELL_ITERATIONS = 2 ** 34  # 4096 x 4096 at max_iter 1024
 # Caps on what multiplies a frame's work, from the two above: a run may have as
 # many frames, and a cell as many samples, as a largest frame has iterations.
-MAX_FRAMES = MAX_CELL_ITERATIONS // MAX_PIXELS  # 1024: k_max + 1 or len(t_list)
+MAX_FRAMES = MAX_CELL_ITERATIONS // MAX_PIXELS  # 1024: k_max + 1, len(t_list), RK4 steps
 MAX_SUPERSAMPLE = math.isqrt(MAX_FRAMES)  # 32: s^2 samples per Bounded cell
 
 
@@ -300,6 +300,18 @@ def validate_config(raw: dict, text: str = "") -> SceneConfig:
         if px_w * px_h * max_iter > MAX_CELL_ITERATIONS:
             ctx.fail(key, f"{key}: {px_w} x {px_h} pixels at max_iter {max_iter} exceed the "
                           f"limit of {MAX_CELL_ITERATIONS} cell-iterations")
+    # every RK4 evaluation the run makes: each time of a flow-traj, a flow map's time
+    spans = [(cfg.flow, t) for t in cfg.t_list or ()]
+    if isinstance(cfg.map, FlowMap):
+        spans.append((cfg.map.flow, cfg.map.t))
+    for flow, t in spans:
+        try:
+            steps = flow._steps(t) if isinstance(flow, NumericRK4) else 1
+        except OverflowError:
+            steps = math.inf
+        if steps > MAX_FRAMES:
+            ctx.fail("dt", f"numeric_rk4 at t = {t:g} with dt = {flow.dt:g} takes over "
+                           f"{MAX_FRAMES} steps")
     if command == "zeno" and cfg.n >= 2:  # the window rasterize_zeno will draw in
         try:
             _zeno_window(zeno_states(cfg.d0, cfg.t1, 2, cfg.i0), cfg.px_w, cfg.px_h)

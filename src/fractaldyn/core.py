@@ -33,6 +33,21 @@ def require_finite(z: complex, name: str = "value") -> complex:
     return z
 
 
+def _apart(n: int, size: float, mid: float) -> bool:
+    """Whether the n centers mid +- (i + 0.5 - n/2) * pitch, pitch = size / n,
+    as GridSpec.axes() forms them, are sure to be strictly monotone. Below
+    2^52 centers the offsets i + 0.5 - n/2 are exact; each product is then
+    off by at most ulp(w)/2 and each sum by at most ulp(m)/2, w and m being
+    the outermost product and center, so neighbours, |pitch| apart before
+    rounding, stay apart when |pitch| > ulp(w) + ulp(m). At a smaller pitch,
+    at most two float spacings at the window's edge, centers meet or nearly."""
+    if n >= 2 ** 52:
+        return False
+    pitch = size / n
+    w = (n / 2 - 0.5) * pitch
+    return n == 1 or pitch > math.ulp(w) + math.ulp(max(abs(mid - w), abs(mid + w)))
+
+
 def evaluate(fn, z, what: str):
     """fn(z) for an elementwise map fn of complex128 arrays that returns
     NaN where it is undefined, run with floating-point warnings off. An
@@ -104,6 +119,11 @@ class GridSpec:
             raise ValueError(f"height must be positive and finite, got {self.height}")
         if self.px_w < 1 or self.px_h < 1:
             raise ValueError("pixel counts must be >= 1")
+        for name, n, size, mid in (("column", self.px_w, self.width, self.center.real),
+                                   ("row", self.px_h, self.height, self.center.imag)):
+            if not _apart(n, size, mid):
+                raise ValueError(f"{name} centers collapse: {n} pixels over {size:.3g} "
+                                 f"are too fine for the float spacing at {mid:.17g}")
 
     @property
     def dx(self) -> float:

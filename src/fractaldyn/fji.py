@@ -28,9 +28,8 @@ output.
 from __future__ import annotations
 
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +68,7 @@ def classify_orbit(z0: complex, c: complex, params: IterParams = IterParams()) -
     return OrbitResult.bounded(math.sqrt(m2) if m2 == m2 else math.inf)
 
 
-def classify_grid(z0, c, params: IterParams, threads: int = 1):
+def classify_grid(z0, c, params: IterParams):
     """Classify seeds z0 with parameters c, broadcast together; returns
     (status, iters, mags) in that shape. Non-finite seeds or parameters
     mark the cell Invalid.
@@ -77,13 +76,11 @@ def classify_grid(z0, c, params: IterParams, threads: int = 1):
     The flat cells are walked in contiguous tiles of _TILE_CELLS, each run
     to completion before the next, so every temporary of the loop stays in
     a core's cache and the working memory is a tile's, not the frame's.
-    One worker runs the tiles in the caller's thread; more take them from
-    a thread pool, at most one per tile and one per CPU in the process's
-    affinity mask (os.cpu_count() where the OS keeps none). A 0-d c stays
+    The tiles run one after another in the caller's thread. A 0-d c stays
     a scalar: only z0 is broadcast, and each step adds the one c. Each
     cell's arithmetic (the same out-of-place z*z + c, escape test and
-    cycle checks) depends neither on its tile nor on its thread, so the
-    output is identical for any tile size and thread count.
+    cycle checks) does not depend on its tile, so the output is identical
+    for any tile size.
 
     Periodicity checking (Brent's cycle detection): each active cell's z
     is saved at iterations 8, 16, 32, ... and, every 8 iterations after
@@ -133,7 +130,7 @@ def classify_grid(z0, c, params: IterParams, threads: int = 1):
     c_bound = r2 - params.escape_radius - 1e-9 * r2
     last = params.max_iter - 1
 
-    def run(lo):
+    for lo in range(0, n_cells, _TILE_CELLS):
         tile = slice(lo, lo + _TILE_CELLS)
         status_t, iters_t, mags_t = status[tile], iters[tile], mags[tile]
         c_t = c[tile] if c.ndim else c
@@ -206,40 +203,39 @@ def classify_grid(z0, c, params: IterParams, threads: int = 1):
             if active.size:
                 m2 = z.real * z.real + z.imag * z.imag
                 mags_t[active] = np.sqrt(m2)
-
-    tiles = range(0, n_cells, _TILE_CELLS)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = max(1, min(threads, cpus or 1, len(tiles)))
-    if workers == 1:
-        for lo in tiles:
-            run(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, tiles))
     return status.reshape(shape), iters.reshape(shape), mags.reshape(shape)
 
 
-def _render(grid: GridSpec, params: IterParams, threads: int, pull=lambda w: w,
+def _render(grid: GridSpec, params: IterParams, pull=lambda w: w,
             c: complex | None = None) -> RasterField:
     """The pullback render: each pixel center, passed through pull, is the
     seed under c or, with c None, the parameter of the orbit of 0."""
     c = None if c is None else require_finite(c, "c")
     w = pull(grid.points())
     z0, c = (np.complex128(0), w) if c is None else (w, c)
-    return RasterField(grid, *classify_grid(z0, c, params, threads))
+    return RasterField(grid, *classify_grid(z0, c, params))
+
+
+def _ignore_threads(threads: int) -> None:
+    """A threads= other than 1 is ignored, with a DeprecationWarning pointing
+    at the caller of the function that took it: everything runs on one."""
+    if threads != 1:
+        warnings.warn("threads= is deprecated and ignored; fractaldyn runs on one thread",
+                      DeprecationWarning, stacklevel=3)
 
 
 def render_julia(grid: GridSpec, c: complex, params: IterParams = IterParams(),
                  threads: int = 1) -> RasterField:
-    """Filled Julia raster: pixel (i, j) classifies its center as the seed."""
-    return _render(grid, params, threads, c=c)
+    """Filled Julia raster: pixel (i, j) classifies its center as the seed.
+    threads is deprecated and ignored."""
+    _ignore_threads(threads)
+    return _render(grid, params, c=c)
 
 
-def render_mandelbrot(grid: GridSpec, params: IterParams = IterParams(),
-                      threads: int = 1) -> RasterField:
+def render_mandelbrot(grid: GridSpec, params: IterParams = IterParams()) -> RasterField:
     """Mandelbrot raster: pixel (i, j) classifies the orbit of 0 with its
     center as the parameter."""
-    return _render(grid, params, threads)
+    return _render(grid, params)
 
 
 def extract_boundary(field: RasterField) -> RasterField:

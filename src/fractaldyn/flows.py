@@ -122,8 +122,8 @@ class PeriodicForced(FlowSpec):
 @dataclass(frozen=True)
 class NumericRK4(FlowSpec):
     """Fixed-step RK4 integration of one of the closed-form kinds' right-
-    hand sides. The step count is ceil(|t|/dt) with a uniform step landing
-    exactly on t, so halving dt halves every step."""
+    hand sides. The step count is ceil(|t|/dt) (_steps) with a uniform step
+    landing exactly on t, so halving dt halves every step."""
 
     base: FlowSpec
     dt: float = 1e-3
@@ -138,8 +138,13 @@ class NumericRK4(FlowSpec):
     def rhs(self, t, z):
         return self.base.rhs(t, z)
 
+    def _steps(self, t: float) -> int:
+        """Steps over a span of length |t|, at least one; OverflowError
+        where |t|/dt leaves the float range."""
+        return max(1, math.ceil(abs(t) / self.dt))
+
     def _integrate(self, z, t0: float, t1: float):
-        n = max(1, math.ceil(abs(t1 - t0) / self.dt))
+        n = self._steps(t1 - t0)
         h = (t1 - t0) / n
         g = self.base.rhs
         t = t0
@@ -182,15 +187,15 @@ def ode_residual(flow: FlowSpec, z: complex, t: float, h: float) -> float:
 
 
 def fmi_flow_julia(grid: GridSpec, c: complex, flow: FlowSpec, t: float,
-                   params: IterParams = IterParams(), threads: int = 1) -> RasterField:
+                   params: IterParams = IterParams()) -> RasterField:
     """Raster of the time-t flow image of the filled Julia set: each pixel
     is pulled back through the inverse flow map and classified by plain
     escape-time iteration. At t = 0 this is exactly the Julia render."""
-    return _render(grid, params, threads, lambda w: flow_inverse(flow, w, t), c)
+    return _render(grid, params, lambda w: flow_inverse(flow, w, t), c)
 
 
 def trajectory_sweep(grid: GridSpec, c: complex, flow: FlowSpec, t_values,
-                     params: IterParams = IterParams(), threads: int = 1) -> list[RasterField]:
+                     params: IterParams = IterParams()) -> list[RasterField]:
     """Flow-image rasters at each time in t_values, in order. A non-finite
     time raises ValueError when its frame is reached."""
-    return [fmi_flow_julia(grid, c, flow, float(t), params, threads) for t in t_values]
+    return [fmi_flow_julia(grid, c, flow, float(t), params) for t in t_values]

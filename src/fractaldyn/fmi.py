@@ -35,22 +35,21 @@ from .maps import _ROUNDING, MapSpec, eval_forward, eval_inverse
 _BLOCK = 4  # side, in source pixels, of the blocks the cull tests with one evaluation each
 
 
-def fmi_julia(grid: GridSpec, c: complex, m: MapSpec, params: IterParams = IterParams(),
-              threads: int = 1) -> RasterField:
+def fmi_julia(grid: GridSpec, c: complex, m: MapSpec,
+              params: IterParams = IterParams()) -> RasterField:
     """Image of the filled Julia set under m.
 
     Each pixel center is pulled back through the inverse map and
     classified; pixels whose pullback leaves the map's domain are Invalid.
     With the identity map this reproduces render_julia cell for cell.
     """
-    return _render(grid, params, threads, lambda w: eval_inverse(m, w), c)
+    return _render(grid, params, lambda w: eval_inverse(m, w), c)
 
 
-def fmi_mandelbrot(grid: GridSpec, m: MapSpec, params: IterParams = IterParams(),
-                   threads: int = 1) -> RasterField:
+def fmi_mandelbrot(grid: GridSpec, m: MapSpec, params: IterParams = IterParams()) -> RasterField:
     """Image of the Mandelbrot set under m: each pixel's pullback becomes
     the parameter of the orbit of 0."""
-    return _render(grid, params, threads, lambda w: eval_inverse(m, w))
+    return _render(grid, params, lambda w: eval_inverse(m, w))
 
 
 def _offset_groups(s: int) -> list:
@@ -189,8 +188,8 @@ def forward_image(src_field: RasterField, m: MapSpec, dst_grid: GridSpec,
 
 
 def discrete_trajectory(c: complex, m: MapSpec, k_max: int, grid: GridSpec,
-                        params: IterParams = IterParams(), supersample: int = 3,
-                        threads: int = 1) -> tuple[list[RasterField], list[RasterField]]:
+                        params: IterParams = IterParams(),
+                        supersample: int = 3) -> tuple[list[RasterField], list[RasterField]]:
     """Iterate a Julia set under a map: frame k is the k-fold image, by both
     construction routes. Returns the lists (pullback, pushforward), each of
     k_max + 1 frames; element 0 of both is the plain Julia render.
@@ -204,14 +203,14 @@ def discrete_trajectory(c: complex, m: MapSpec, k_max: int, grid: GridSpec,
         raise ValueError("k_max must be >= 0")
     c = require_finite(c, "c")
 
-    frame0 = render_julia(grid, c, params, threads)
+    frame0 = render_julia(grid, c, params)
     pullback = [frame0]
     pushforward = [frame0]
 
     w = grid.points()
     for _ in range(k_max):
         w = eval_inverse(m, w)
-        status, iters, mags = classify_grid(w, c, params, threads)
+        status, iters, mags = classify_grid(w, c, params)
         pullback.append(RasterField(grid, status, iters, mags))
         pushforward.append(forward_image(pushforward[-1], m, grid, supersample))
     return pullback, pushforward

@@ -367,7 +367,7 @@ def test_one_doc_per_command_covers_every_runner():
 def test_runners_write_nothing_and_run_scene_writes_every_output(tmp_path, monkeypatch, doc):
     monkeypatch.chdir(tmp_path)
     cfg = validate_config({**doc, "output": "out/s"})
-    frames, _, rows = cli._RUNNERS[cfg.command](cfg, 1)
+    frames, _, rows = cli._RUNNERS[cfg.command](cfg)
     assert list(tmp_path.iterdir()) == []
     assert (rows is not None) == (cfg.command in ("discrete-traj", "flow-traj"))
 

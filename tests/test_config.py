@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -331,8 +332,20 @@ pairs = st.lists(finite, min_size=2, max_size=2)
 fixed_c = st.lists(st.floats(-1.4, 1.4), min_size=2, max_size=2)  # |c| < 2 <= escape_radius
 # 2048 x 2048 pixels at max_iter 4096 is MAX_CELL_ITERATIONS exactly
 sides = st.integers(1, 2 ** 11)
+
+
+def _is_window(g: dict) -> bool:
+    """Whether a grid object is a window: GridSpec also refuses one whose
+    pixel centers collapse, the pitch being below the float spacing there."""
+    try:
+        _grid_of({"grid": g})
+    except ValueError:
+        return False
+    return True
+
+
 grids = st.fixed_dictionaries({"center": pairs, "width": positive, "height": positive,
-                               "px_w": sides, "px_h": sides})
+                               "px_w": sides, "px_h": sides}).filter(_is_window)
 iters = st.fixed_dictionaries({}, optional={
     "max_iter": st.integers(1, 2 ** 12),
     "escape_radius": st.floats(min_value=2.0, allow_infinity=False)})
@@ -342,9 +355,21 @@ closed_flows = {
     "periodic_forced": st.fixed_dictionaries({"kind": st.just("periodic_forced"),
                                               "a": finite}),
 }
+# dt >= 2^-10, so that kind_doc's t = 0.5 stays within the cap of MAX_FRAMES RK4 steps
 FLOW_SPECS = {**closed_flows, "numeric_rk4": st.fixed_dictionaries(
     {"kind": st.just("numeric_rk4"), "base": st.one_of(*closed_flows.values())},
-    optional={"dt": positive})}
+    optional={"dt": st.floats(min_value=2.0 ** -10, allow_infinity=False)})}
+
+
+def times_for(flow: dict):
+    """Times a config may evaluate flow at: any finite one for a closed form,
+    for numeric_rk4 those of at most MAX_FRAMES steps (ceil(|t| / dt))."""
+    if flow["kind"] != "numeric_rk4":
+        return finite
+    reach = min((MAX_FRAMES - 1) * flow.get("dt", 1e-3), sys.float_info.max)
+    return st.floats(-reach, reach)
+
+
 MAP_SPECS = {
     "identity": st.just({"kind": "identity"}),
     "affine": st.fixed_dictionaries(
@@ -355,8 +380,8 @@ MAP_SPECS = {
     "reciprocal_sqrt": st.just({"kind": "reciprocal_sqrt"}),
     "quadratic_param": st.fixed_dictionaries({"kind": st.just("quadratic_param"),
                                               "a": finite, "b": pairs, "c": pairs}),
-    "flow": st.fixed_dictionaries({"kind": st.just("flow"),
-                                   "flow": st.one_of(*FLOW_SPECS.values()), "t": finite}),
+    "flow": st.one_of(*FLOW_SPECS.values()).flatmap(lambda flow: st.fixed_dictionaries(
+        {"kind": st.just("flow"), "flow": st.just(flow), "t": times_for(flow)})),
 }
 maps = st.one_of(*MAP_SPECS.values())
 flows = st.one_of(*FLOW_SPECS.values())
@@ -408,7 +433,7 @@ def with_box_range(docs, raster):
 
 boxed_sides = st.integers(32, 2 ** 11)
 boxed_grids = st.fixed_dictionaries({"center": pairs, "width": positive, "height": positive,
-                                     "px_w": boxed_sides, "px_h": boxed_sides})
+                                     "px_w": boxed_sides, "px_h": boxed_sides}).filter(_is_window)
 # a zeno window stays a window: 2 * t1 finite, and t_{i0} and t_{i0+1} apart
 zeno_reals = st.floats(1e-100, 1e100)
 COMMAND_DOCS = {
@@ -422,10 +447,9 @@ COMMAND_DOCS = {
         "discrete-traj", {"grid": grids, "c": fixed_c, "map": maps, "k_max": frame_counts},
         iter=iters, supersample=supersamples),
     "flow-traj": command_docs(
-        "flow-traj",
-        {"grid": grids, "c": fixed_c, "flow": flows,
-         "t_list": st.lists(finite, min_size=1, max_size=MAX_FRAMES)},
-        iter=iters),
+        "flow-traj", {"grid": grids, "c": fixed_c, "flow": flows}, iter=iters).flatmap(
+        lambda doc: st.lists(times_for(doc["flow"]), min_size=1, max_size=MAX_FRAMES).map(
+            lambda t_list: {**doc, "t_list": t_list})),
     "dimension": with_box_range(
         command_docs("dimension", {"grid": boxed_grids, "c": fixed_c}, iter=iters,
                      boundary=st.booleans()),
@@ -587,6 +611,17 @@ def _dimension_doc(side, **extra):
     return {"command": "dimension", "grid": _grid(side, side), "c": [0, 0], **extra}
 
 
+def _rk4_doc(dt, t_list=(1,)):
+    return {"command": "flow-traj", "grid": _grid(512, 512), "c": [-1, 0], "t_list": list(t_list),
+            "flow": {"kind": "numeric_rk4", "base": {"kind": "limit_cycle"}, "dt": dt}}
+
+
+def _rk4_map_doc(dt, t=1):
+    flow = {"kind": "numeric_rk4", "base": {"kind": "limit_cycle"}, "dt": dt}
+    return {"command": "fmi-julia", "grid": _grid(512, 512), "c": [-1, 0],
+            "map": {"kind": "flow", "flow": flow, "t": t}}
+
+
 # Configs that used to validate and then fail in the run, or never finish it.
 REFUSED_RUNS = {
     "zeno-n-1e18": (_zeno_doc(n=10 ** 18), "n must be <= 1024"),
@@ -599,6 +634,15 @@ REFUSED_RUNS = {
                               "need 2 <= min_box < max_box"),
     "dimension-16px-max-8": (_dimension_doc(16, max_box=8), "max_box must be <="),
     "dimension-16px-max-4": (_dimension_doc(16, max_box=4), "only 2 dyadic sizes in [2, 4]"),
+    # 20 lines in 1024 columns of which only 33 centers differ
+    "zeno-i0-48": (_zeno_doc(n=20, i0=48), "no window: column centers collapse"),
+    "grid-1e-13-wide-at-1": (julia_doc(grid={"center": [1, 0], "width": 1e-13, "height": 1e-13,
+                                             "px_w": 1024, "px_h": 1024}),
+                             "grid: column centers collapse"),
+    # about 10^12 RK4 steps per cell, and a step count past the float range
+    "flow-traj-rk4-dt-1e-12": (_rk4_doc(dt=1e-12), "takes over 1024 steps"),
+    "flow-traj-rk4-t-1e300": (_rk4_doc(dt=1e-15, t_list=[0, 1e300]), "takes over 1024 steps"),
+    "fmi-julia-rk4-dt-1e-15": (_rk4_map_doc(dt=1e-15), "takes over 1024 steps"),
 }
 
 
@@ -616,6 +660,19 @@ def test_zeno_and_box_ranges_at_their_edges_are_accepted():
     assert validate_config(_zeno_doc(n=1, px_w=1, px_h=1, max_box=2, output="o"))
     assert validate_config(_dimension_doc(32, output="o"))
     assert validate_config(_dimension_doc(64, min_box=3, max_box=16, output="o"))
+
+
+def test_windows_and_rk4_step_counts_at_their_edges_are_accepted():
+    # validated only, nothing is rendered
+    assert validate_config(_zeno_doc(n=20, i0=42, output="o"))  # 1024 distinct columns
+    with pytest.raises(ConfigError, match="column centers collapse"):
+        validate_config(_zeno_doc(n=20, i0=43, output="o"))  # 513
+    # dt = 2^-10: t = 1 takes MAX_FRAMES steps exactly, one step more is refused
+    for doc in (_rk4_doc(2.0 ** -10, t_list=[-1, 0, 1]), _rk4_map_doc(2.0 ** -10, t=-1)):
+        assert validate_config({**doc, "output": "o"})
+    for doc in (_rk4_doc(2.0 ** -10, t_list=[1 + 2.0 ** -10]), _rk4_map_doc(2.0 ** -10, t=-1.001)):
+        with pytest.raises(ConfigError, match="takes over 1024 steps"):
+            validate_config({**doc, "output": "o"})
 
 
 def test_an_oversized_frame_exits_1_before_anything_is_allocated(tmp_path, capsys):

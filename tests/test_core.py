@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractaldyn.core import GridSpec, OrbitResult, OrbitStatus, RasterField
 
@@ -109,10 +112,29 @@ def test_pixels_hit_skips_nonfinite():
     dict(center=0j, width=0, height=1, px_w=2, px_h=2),
     dict(center=0j, width=1, height=-3, px_w=2, px_h=2),
     dict(center=0j, width=1, height=1, px_w=0, px_h=2),
+    # 676 distinct column centers of 1024, and rows as thin
+    dict(center=1 + 0j, width=1e-13, height=1, px_w=1024, px_h=2),
+    dict(center=1j, width=1, height=1e-13, px_w=2, px_h=1024),
+    dict(center=0j, width=5e-324, height=1, px_w=2, px_h=2),  # the pitch underflows to 0
+    dict(center=1.7e308 + 0j, width=1e308, height=1, px_w=2, px_h=2),  # a center overflows
+    dict(center=0j, width=1, height=1, px_w=2 ** 53, px_h=2),  # i + 0.5 rounds
 ])
 def test_grid_validation(kwargs):
     with pytest.raises(ValueError):
         GridSpec(**kwargs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mid=st.floats(-1e300, 1e300), ulps=st.floats(0.01, 8.0), n=st.integers(1, 300))
+def test_a_grid_has_strictly_monotone_pixel_centers(mid, ulps, n):
+    # pitches around the float spacing at the center, where neighbours can meet
+    size = n * ulps * math.ulp(mid)
+    try:
+        grid = GridSpec(complex(mid, -mid), size, size, n, n)
+    except ValueError:
+        return
+    xs, ys = grid.axes()
+    assert np.all(np.diff(xs) > 0) and np.all(np.diff(ys) < 0)
 
 
 def test_scaled_grid():

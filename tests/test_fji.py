@@ -1,13 +1,13 @@
-import os
-import sys
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractaldyn import fji
+from fractaldyn import cli, fji
+from fractaldyn.config import validate_config
 from fractaldyn.core import GridSpec, OrbitStatus, RasterField
 from fractaldyn.fji import (IterParams, classify_grid, classify_orbit,
                             extract_boundary, render_julia, render_mandelbrot)
@@ -170,14 +170,31 @@ def test_escape_permanence_oracle():
             z = z * z + c
 
 
-def test_threaded_render_is_deterministic():
+def test_threaded_render_is_deterministic(tmp_path):
+    # threads= survives only on render_julia and run_scene, deprecated and ignored
     grid = GridSpec(0j, 3.2, 3.2, 96, 96)
     c = -0.52 - 0.46j
-    one = render_julia(grid, c, IterParams(120, 2.0), threads=1)
-    four = render_julia(grid, c, IterParams(120, 2.0), threads=4)
-    assert np.array_equal(one.status, four.status)
-    assert np.array_equal(one.escape_iter, four.escape_iter)
-    assert np.array_equal(one.last_magnitude, four.last_magnitude)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # threads=1 warns of nothing
+        one = render_julia(grid, c, IterParams(120, 2.0), threads=1)
+    with pytest.warns(DeprecationWarning, match="threads= is deprecated") as record:
+        two = render_julia(grid, c, IterParams(120, 2.0), threads=2)
+    assert len(record) == 1 and record[0].filename == __file__
+    _assert_same_bytes((two.status, two.escape_iter, two.last_magnitude),
+                       (one.status, one.escape_iter, one.last_magnitude))
+
+    ppm = {}
+    for threads in (1, 2):
+        cfg = validate_config({"command": "julia", "grid": {"center": [0, 0], "width": 3.2,
+                               "height": 3.2, "px_w": 96, "px_h": 96}, "c": [-0.52, -0.46],
+                               "iter": {"max_iter": 120}, "output": str(tmp_path / f"t{threads}")})
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            cli.run_scene(cfg, threads=threads)
+        assert [(w.category, w.filename) for w in record] == (
+            [] if threads == 1 else [(DeprecationWarning, __file__)])
+        ppm[threads] = (tmp_path / f"t{threads}.ppm").read_bytes()
+    assert ppm[1] == ppm[2]
 
 
 def test_boundary_of_full_field_is_window_frame():
@@ -226,64 +243,6 @@ def _band_inputs():
         "seeds_1d": (seeds, np.complex128(-0.4 + 0.6j)),
         "seed_0d": (np.complex128(0.3 + 0.2j), np.complex128(-1)),
     }
-
-
-@pytest.mark.parametrize("name", ["grid", "row", "seeds_1d", "seed_0d"])
-def test_classify_grid_output_is_independent_of_threads(name, monkeypatch):
-    # eight CPUs so that the bands really split on a smaller host
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    z0, c = _band_inputs()[name]
-    params = IterParams(150, 2.0)
-    ref = classify_grid(z0, c, params, threads=1)
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the bands' writes as finely as possible
-    try:
-        for threads in (2, 3, 7):
-            out = classify_grid(z0, c, params, threads=threads)
-            for got, want in zip(out, ref):
-                assert got.shape == want.shape and got.dtype == want.dtype
-                assert np.array_equal(got, want)
-    finally:
-        sys.setswitchinterval(switch)
-
-
-def test_classify_grid_caps_workers_at_cpu_count(monkeypatch):
-    built = []
-
-    class InlinePool:
-        """Records max_workers and runs the bands in the calling thread."""
-
-        def __init__(self, max_workers):
-            built.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(fji, "ThreadPoolExecutor", InlinePool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)  # the host may have more CPUs
-    monkeypatch.setattr(fji, "_TILE_CELLS", 100)
-    z0 = GridSpec(0j, 3.0, 3.0, 24, 24).points()  # 576 cells: 6 tiles
-    ref = classify_grid(z0, np.complex128(-1), P, threads=1)
-    assert built == []
-    out = classify_grid(z0, np.complex128(-1), P, threads=10 ** 6)
-    assert built == [4]
-    # one tile: no pool, whatever the thread count
-    one = classify_grid(z0[:4], np.complex128(-1), P, threads=10 ** 6)
-    assert built == [4]
-    _assert_same_bytes(one, tuple(a[:4] for a in ref))
-    for got, want in zip(out, ref):
-        assert np.array_equal(got, want)
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    classify_grid(z0, np.complex128(-1), P, threads=4)
-    assert built == [4]
 
 
 def _full_budget_kernel(z0, c, params):
@@ -367,17 +326,14 @@ def test_classify_grid_equals_full_budget_kernel_on_nonfinite_and_huge_seeds(rad
        c=st.complex_numbers(max_magnitude=2.0),
        mandelbrot=st.booleans(),
        max_iter=st.integers(1, 300),
-       threads=st.integers(1, 8),
        tile=st.integers(1, 300))
 def test_classify_grid_equals_full_budget_kernel_on_random_windows(
-        center, width, px, c, mandelbrot, max_iter, threads, tile):
+        center, width, px, c, mandelbrot, max_iter, tile):
     points = GridSpec(center, width, width, *px).points()
     z0, c = (np.complex128(0), points) if mandelbrot else (points, np.complex128(c))
     params = IterParams(max_iter, 2.0)
-    # eight CPUs so that the tiles really spread over threads on a smaller host
-    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(8)), create=True), \
-            mock.patch.object(fji, "_TILE_CELLS", tile):
-        out = classify_grid(z0, c, params, threads=threads)
+    with mock.patch.object(fji, "_TILE_CELLS", tile):
+        out = classify_grid(z0, c, params)
     _assert_same_bytes(out, _full_budget_kernel(z0, c, params))
 
 
@@ -395,29 +351,33 @@ def test_each_seed_alone_equals_its_batch_entry(c):
             assert got.tobytes() == want[k:k + 1].tobytes()
 
 
-@pytest.mark.parametrize("threads", [1, 3])
+def _copies(z0, c, n):
+    """n copies of the (broadcast) inputs stacked on a new first axis, so
+    that each copy's cells meet the tile boundaries at other offsets; a 0-d
+    c stays 0-d."""
+    z0 = np.broadcast_to(z0, np.broadcast_shapes(np.shape(z0), np.shape(c)))
+    return np.stack([z0] * n), (c if np.ndim(c) == 0 else np.stack([c] * n))
+
+
+@pytest.mark.parametrize("copies", [1, 3])
 @pytest.mark.parametrize("name", ["row", "seeds_1d", "seed_0d"])
-def test_tiles_of_one_cell_give_the_same_fields(name, threads, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+def test_tiles_of_one_cell_give_the_same_fields(name, copies, monkeypatch):
     monkeypatch.setattr(fji, "_TILE_CELLS", 1)
-    z0, c = _band_inputs()[name]
+    z0, c = _copies(*_band_inputs()[name], copies)
     params = IterParams(150, 2.0)
-    _assert_same_bytes(classify_grid(z0, c, params, threads=threads),
-                       _full_budget_kernel(z0, c, params))
+    _assert_same_bytes(classify_grid(z0, c, params), _full_budget_kernel(z0, c, params))
 
 
-@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("copies", [1, 3])
 @pytest.mark.parametrize("tile", [97, 96 * 96, 10 ** 6])  # a prime, the input, more
 @pytest.mark.parametrize("name", ["basilica", "quarter_i", "no_cycle", "cardioid",
                                   "julia_full", "mandelbrot_full"])
-def test_tile_size_does_not_change_the_fields(name, tile, threads, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+def test_tile_size_does_not_change_the_fields(name, tile, copies, monkeypatch):
     monkeypatch.setattr(fji, "_TILE_CELLS", tile)
-    z0, c = _windows(96)[name]
+    z0, c = _copies(*_windows(96)[name], copies)
     for max_iter in (17, 400):
         params = IterParams(max_iter, 2.0)
-        _assert_same_bytes(classify_grid(z0, c, params, threads=threads),
-                           _full_budget_kernel(z0, c, params))
+        _assert_same_bytes(classify_grid(z0, c, params), _full_budget_kernel(z0, c, params))
 
 
 @pytest.mark.parametrize("name", ["basilica", "quarter_i", "no_cycle", "cardioid"])
@@ -482,7 +442,6 @@ def _backward_orbits(c, radius, depth):
 
 @pytest.mark.parametrize("radius", [2.0, 2.5, 10.0, 1e6])
 def test_classify_grid_equals_full_budget_kernel_at_the_edge_of_the_c_bound(radius, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     bound = _c_bound(radius)
     # seeds escaping at every offset of the second block, and (c = 0.25, parabolic)
     # in the last, partial block of a 203-step budget
@@ -502,8 +461,7 @@ def test_classify_grid_equals_full_budget_kernel_at_the_edge_of_the_c_bound(radi
                     assert escaped >= set(range(9, 17)) | set(range(200, max_iter))
                 for tile in (1, 97):
                     monkeypatch.setattr(fji, "_TILE_CELLS", tile)
-                    for threads in (1, 3):
-                        _assert_same_bytes(classify_grid(z0, c, params, threads=threads), ref)
+                    _assert_same_bytes(classify_grid(z0, c, params), ref)
 
 
 def test_orbit_that_passes_the_radius_and_comes_back_inside_equals_the_reference():
