@@ -15,8 +15,11 @@ approximation of any of them:
                      coincides with the time-(-t) map only at t = 2*pi*n.
 
 Scalar calls raise DomainError where a map is undefined; array calls
-mark those entries NaN so rendering loops can flag them Invalid. Arrays
-go through core.evaluate a tile at a time, so RK4 stages hold a tile.
+mark those entries NaN so rendering loops can flag them Invalid, as where
+PeriodicForced's exp(+-a*t) overflows (LimitCycle takes an equal form
+there). Arrays go through core.evaluate a tile at a time, so RK4 stages
+hold a tile. Each kind states g once, on real and imaginary parts
+(_rhs_xy); RK4 steps those and stops stepping cells gone non-finite.
 """
 
 from __future__ import annotations
@@ -31,12 +34,13 @@ from .fji import IterParams, _render, classify_grid  # perfbench patches classif
 
 
 class FlowSpec:
-    """Base for flow kinds; subclasses implement the vectorized paths."""
+    """Base for flow kinds: g on real and imaginary parts (_rhs_xy), and the array paths."""
 
     kind: str = ""
 
     def rhs(self, t: float, z):
-        raise NotImplementedError
+        u, v = self._rhs_xy(t, z.real, z.imag)
+        return u + 1j * v
 
     def _apply_array(self, z: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
@@ -68,13 +72,24 @@ def flow_inverse(flow: FlowSpec, z, t: float):
     return evaluate(_at_time(flow._inverse_array, t), z, f"{flow.kind} inverse flow at t={t}")
 
 
+def _exp_or_nan(x: float) -> float:
+    """math.exp(x), or NaN where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.nan
+
+
 @dataclass(frozen=True)
 class Linear(FlowSpec):
     lam: complex = field(metadata={"key": "lambda"})
     kind: str = field(default="linear", init=False, repr=False)
 
-    def rhs(self, t, z):
-        return self.lam * z
+    def _rhs_xy(self, t, x, y):
+        z = np.array(x, np.complex128)
+        z.imag = y  # named: numpy fuses lam*z (FMA), and forms lam*(temporary) as temporary*lam
+        w = self.lam * z
+        return w.real, w.imag
 
     def _apply_array(self, z, t):
         return z * np.exp(complex(self.lam) * t)
@@ -84,17 +99,27 @@ class Linear(FlowSpec):
 class LimitCycle(FlowSpec):
     kind: str = field(default="limit_cycle", init=False, repr=False)
 
-    def rhs(self, t, z):
-        return 1j * z + z * (4.0 - (z.real * z.real + z.imag * z.imag))
+    def _rhs_xy(self, t, x, y):
+        s = 4.0 - (x * x + y * y)
+        u = x * s - y
+        s *= y  # v = y*s + x in s's buffer: one temporary fewer per stage
+        s += x
+        return u, s
 
     def _apply_array(self, z, t):
         rho0 = np.abs(z)
         phi0 = np.angle(z)
-        radicand = 4.0 / (rho0 * rho0) + math.exp(8.0 * t) - 1.0
-        # rho0 = 0 gives radicand = inf and rho = 0: the equilibrium.
-        rho = np.where(radicand > 0.0,
-                       2.0 * math.exp(4.0 * t) / np.sqrt(np.abs(radicand)),
-                       np.nan)
+        try:
+            radicand = 4.0 / (rho0 * rho0) + math.exp(8.0 * t) - 1.0
+            # rho0 = 0 gives radicand = inf and rho = 0: the equilibrium.
+            rho = np.where(radicand > 0.0,
+                           2.0 * math.exp(4.0 * t) / np.sqrt(np.abs(radicand)),
+                           np.nan)
+        except OverflowError:
+            # exp(8t) overflows (t > 88.7, where no orbit blows up). An equal
+            # form is rho = 2 / sqrt(1 + (2 exp(-4t) / rho0)^2 - exp(-8t)), and
+            # exp(-8t) < 2^-1022 is below the rounding of the rest.
+            rho = np.where(rho0 == 0.0, 0.0, 2.0 / np.hypot(1.0, 2.0 * math.exp(-4.0 * t) / rho0))
         return rho * np.exp(1j * (phi0 + t))
 
 
@@ -107,27 +132,28 @@ class PeriodicForced(FlowSpec):
     def k(self) -> complex:
         return (self.a + 1j) / (1.0 + self.a * self.a)
 
-    def rhs(self, t, z):
-        return self.a * z + complex(math.cos(t), math.sin(t))
+    def _rhs_xy(self, t, x, y):
+        return self.a * x + math.cos(t), self.a * y + math.sin(t)
 
     def _apply_array(self, z, t):
         k = self.k
-        return (z + k) * math.exp(self.a * t) - k * complex(math.cos(t), math.sin(t))
+        return (z + k) * _exp_or_nan(self.a * t) - k * complex(math.cos(t), math.sin(t))
 
     def _inverse_array(self, z, t):
         k = self.k
-        return (z + k * complex(math.cos(t), math.sin(t))) * math.exp(-self.a * t) - k
+        return (z + k * complex(math.cos(t), math.sin(t))) * _exp_or_nan(-self.a * t) - k
 
 
 @dataclass(frozen=True)
 class NumericRK4(FlowSpec):
-    """Fixed-step RK4 integration of one of the closed-form kinds' right-
-    hand sides. The step count is ceil(|t|/dt) (_steps) with a uniform step
-    landing exactly on t, so halving dt halves every step."""
+    """Fixed-step RK4 of a closed-form kind's g on real and imaginary parts,
+    which stops stepping cells gone non-finite. It takes ceil(|t|/dt) uniform
+    steps (_steps) landing exactly on t, so halving dt halves every step."""
 
     base: FlowSpec
     dt: float = 1e-3
     kind: str = field(default="numeric_rk4", init=False, repr=False)
+    _CHECK_STEPS = 3  # steps between finiteness checks (a constant, not a field)
 
     def __post_init__(self):
         if not (self.dt > 0 and math.isfinite(self.dt)):
@@ -135,8 +161,8 @@ class NumericRK4(FlowSpec):
         if isinstance(self.base, NumericRK4):
             raise ValueError("base must be a closed-form flow kind")
 
-    def rhs(self, t, z):
-        return self.base.rhs(t, z)
+    def _rhs_xy(self, t, x, y):
+        return self.base._rhs_xy(t, x, y)
 
     def _steps(self, t: float) -> int:
         """Steps over a span of length |t|, at least one; OverflowError
@@ -144,18 +170,32 @@ class NumericRK4(FlowSpec):
         return max(1, math.ceil(abs(t) / self.dt))
 
     def _integrate(self, z, t0: float, t1: float):
+        """RK4 from t0 to t1 on the parts x, y of the 1-D array z. Its finite
+        values are the complex loop's: there every product is a real times a
+        complex value, or i*z, which numpy forms componentwise (Linear's lam*z
+        stays complex); only a zero's sign may differ, which changes no nonzero
+        + - * result. Non-finite is absorbing, as each step adds (h/6)*S, so
+        every _CHECK_STEPS steps the cells found non-finite stop and read NaN."""
         n = self._steps(t1 - t0)
         h = (t1 - t0) / n
-        g = self.base.rhs
+        g = self.base._rhs_xy
+        x, y = z.real.copy(), z.imag.copy()
+        live = np.arange(z.size)
+        out = np.full(z.size, complex(math.nan, math.nan))
         t = t0
-        for _ in range(n):
-            k1 = g(t, z)
-            k2 = g(t + h / 2, z + (h / 2) * k1)
-            k3 = g(t + h / 2, z + (h / 2) * k2)
-            k4 = g(t + h, z + h * k3)
-            z = z + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        for i in range(1, n + 1):
+            k1x, k1y = g(t, x, y)
+            k2x, k2y = g(t + h / 2, x + (h / 2) * k1x, y + (h / 2) * k1y)
+            k3x, k3y = g(t + h / 2, x + (h / 2) * k2x, y + (h / 2) * k2y)
+            k4x, k4y = g(t + h, x + h * k3x, y + h * k3y)
+            x = x + (h / 6) * (k1x + 2 * k2x + 2 * k3x + k4x)
+            y = y + (h / 6) * (k1y + 2 * k2y + 2 * k3y + k4y)
             t += h
-        return z
+            if i % self._CHECK_STEPS == 0:
+                ok = np.isfinite(x) & np.isfinite(y)
+                live, x, y = live[ok], x[ok], y[ok]
+        out.real[live], out.imag[live] = x, y
+        return out
 
     def _apply_array(self, z, t):
         return self._integrate(z, 0.0, t)

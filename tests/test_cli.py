@@ -389,3 +389,22 @@ def test_runners_write_nothing_and_run_scene_writes_every_output(tmp_path, monke
         assert stats["frames"] == len(rows)
     assert {p.name for p in tmp_path.rglob("*") if p.is_file()} == expected
     assert {p.parent for p in tmp_path.rglob("*") if p.is_file()} == {tmp_path / "out"}
+
+
+@pytest.mark.parametrize("doc,frame,all_invalid", [
+    # LimitCycle's pullback to t = -89 evaluates exp(8 * 89), past the floats
+    ({"command": "flow-traj", "flow": {"kind": "limit_cycle"}, "t_list": [-89]},
+     "_000.ppm", False),
+    ({"command": "fmi-julia", "map": {"kind": "flow", "flow": {"kind": "limit_cycle"},
+                                      "t": -100}}, ".ppm", False),
+    # exp(1000): the pullback itself leaves the floats, so every cell is Invalid
+    ({"command": "flow-traj", "flow": {"kind": "periodic_forced", "a": -1000},
+      "t_list": [1]}, "_000.ppm", True),
+], ids=["limit-cycle-traj", "limit-cycle-map", "periodic-forced"])
+def test_closed_form_flows_past_the_float_range_of_exp_run(tmp_path, doc, frame, all_invalid):
+    out = tmp_path / "out/f"
+    cfg = write_config(tmp_path, {**doc, "grid": grid16(), "c": [-1, 0], "output": str(out)})
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert json.loads((tmp_path / "out/f.json").read_text())["config"]["command"] == doc["command"]
+    _, _, rgb = read_ppm(tmp_path / f"out/f{frame}")
+    assert (set(zip(rgb[::3], rgb[1::3], rgb[2::3])) == {INVALID_RGB}) == all_invalid

@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from fractaldyn import core
 from fractaldyn.core import DomainError, GridSpec
 from fractaldyn.fji import IterParams
 from fractaldyn.flows import (LimitCycle, Linear, NumericRK4, PeriodicForced,
@@ -211,3 +213,113 @@ def _rk4_inverse_peak(px):
 
 def test_rk4_memory_does_not_grow_with_the_frame():
     assert _rk4_inverse_peak(1024) <= 2 * _rk4_inverse_peak(256)
+
+
+def _complex_rk4(base, dt, z, t0, t1):
+    """The RK4 loop NumericRK4._integrate ran before it stepped real and
+    imaginary parts, frozen as its oracle: one complex state, every cell
+    stepped every step, and each kind's g stated on complex z."""
+    if isinstance(base, Linear):
+        g = lambda t, z: base.lam * z  # noqa: E731
+    elif isinstance(base, LimitCycle):
+        g = lambda t, z: 1j * z + z * (4.0 - (z.real * z.real + z.imag * z.imag))  # noqa: E731
+    else:
+        g = lambda t, z: base.a * z + complex(math.cos(t), math.sin(t))  # noqa: E731
+    n = max(1, math.ceil(abs(t1 - t0) / dt))
+    h = (t1 - t0) / n
+    t = t0
+    with np.errstate(all="ignore"):
+        for _ in range(n):
+            k1 = g(t, z)
+            k2 = g(t + h / 2, z + (h / 2) * k1)
+            k3 = g(t + h / 2, z + (h / 2) * k2)
+            k4 = g(t + h, z + h * k3)
+            z = z + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
+    return z
+
+
+def _rk4_seeds():
+    """17,000 seeds out to |z| = 3.7, where LimitCycle's backward orbits
+    blow up at different steps, with zeros of either sign and non-finite
+    and huge seeds. As complex values they exceed 256 KiB, the size from
+    which numpy computes an operation on a temporary in place, so the
+    oracle meets that path as the complex loop did on a full tile."""
+    special = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+               complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0),
+               complex(-math.inf, 1), complex(1, math.inf), 1e300j, 1e300 + 0j,
+               2 + 0j, -2j, 3.7 + 0j]
+    return np.concatenate([special, sample_points(17000 - len(special), seed=23, rmax=3.7)])
+
+
+def _assert_same_values(got, want):
+    # Equal as floats, so +0 == -0. A seed whose imaginary part is -0, at
+    # the origin, keeps it backward here: y + (h/6)*0 with h < 0 is
+    # -0 + -0. The complex loop's product (h/6)*S also adds 0*Re(S) = +0
+    # to that part, so it reads +0. No output depends on that sign: the
+    # renders only add, subtract, multiply and compare these values (the
+    # orbit kernel, the escape test, pixel lookup), and none of those
+    # turns a zero's sign into a nonzero difference.
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert np.array_equal(got[finite], want[finite])
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 4, 30])
+@pytest.mark.parametrize("base", [Linear(-1), Linear(-0.8 + 0.3j), LimitCycle(),
+                                  PeriodicForced(0.01), PeriodicForced(-3)], ids=repr)
+def test_rk4_has_the_values_of_the_complex_loop(base, steps):
+    t = 0.5
+    rk = NumericRK4(base, t / (steps - 0.5))
+    assert rk._steps(t) == steps
+    z = _rk4_seeds()
+    for evaluate, span in ((flow_apply, (0.0, t)), (flow_inverse, (t, 0.0))):
+        want = _complex_rk4(base, rk.dt, z, *span)
+        _assert_same_values(evaluate(rk, z, t), want)
+        if isinstance(base, LimitCycle) and evaluate is flow_inverse and steps == 30:
+            # cells leave the floats at different steps
+            assert 0.05 < np.mean(~np.isfinite(want)) < 0.95
+
+
+def test_rk4_stops_stepping_a_tile_whose_cells_all_leave_the_floats():
+    # 64-cell tiles; every seed of the first one blows up backward in time
+    z = np.concatenate([3.0 * np.exp(1j * np.linspace(-3.0, 3.0, 64)), _rk4_seeds()[:200]])
+    base = LimitCycle()
+    rk = NumericRK4(base, 0.5 / 29.5)
+    sizes = []
+    rhs = LimitCycle._rhs_xy
+
+    def counted(self, t, x, y):
+        sizes.append(x.size)
+        return rhs(self, t, x, y)
+
+    with mock.patch.object(core, "_TILE_CELLS", 64), \
+            mock.patch.object(LimitCycle, "_rhs_xy", counted):
+        got = flow_inverse(rk, z, 0.5)
+    _assert_same_values(got, _complex_rk4(base, rk.dt, z, 0.5, 0.0))
+    assert not np.isfinite(got[:64]).any()
+    # 30 steps end on a check, so every non-finite cell reads NaN + NaN i
+    dead = ~np.isfinite(got)
+    assert np.isnan(got.real[dead]).all() and np.isnan(got.imag[dead]).all()
+    first = sizes[:4 * 30]
+    assert first[:12] == [64] * 12 and first[-1] == 0
+    assert sum(first) < 4 * 30 * 64 // 2
+
+
+def test_closed_forms_past_the_float_range_of_exp():
+    # LimitCycle: exp(8t) overflows for t > 88.7; the run takes an equal
+    # form, which meets the rounded radius 2 on either side of t = 88.7
+    z = np.array([0j, 0.5 + 0.5j, 1.0 + 0j, -1.9j, 2.0 + 0j, 3.0 + 0j])
+    for t in (88.0, 89.0, 100.0, 1000.0):
+        w = flow_apply(LimitCycle(), z, t)
+        assert w[0] == 0 and np.allclose(np.abs(w[1:]), 2.0, rtol=0, atol=1e-15)
+        assert np.array_equal(flow_inverse(LimitCycle(), z, -t), w)
+    assert abs(flow_inverse(LimitCycle(), 1j, -89.0)) == pytest.approx(2.0)
+    # PeriodicForced: exp(-a*t) overflows, and so would the true value
+    pf = PeriodicForced(-1000.0)
+    assert np.isnan(flow_inverse(pf, z, 1.0)).all()
+    assert np.isfinite(flow_apply(pf, z, 1.0)).all()
+    with pytest.raises(DomainError):
+        flow_inverse(pf, 0.5j, 1.0)
+    with pytest.raises(DomainError):
+        flow_apply(PeriodicForced(1.0), 0.5j, 710.0)
