@@ -33,14 +33,17 @@ def _out_path(cfg: SceneConfig, suffix: str) -> Path:
 
 
 def _box_dimension(cfg: SceneConfig, mask) -> dict:
-    """Box-counting fit over the mask's Bounded cells, as sidecar stats,
-    with the box range it was fitted over (analysis._box_range's defaults)."""
+    """Box-counting fit over the mask's Bounded cells with its box range, as the sidecar's
+    "dimension"; null, with the reason beside it, where the mask has no Bounded cells."""
     min_box, max_box, _ = analysis._box_range(mask.grid.px_w, mask.grid.px_h,
                                               cfg.min_box, cfg.max_box)
-    est = analysis.box_counting_dimension(mask, min_box, max_box)
-    return {"slope": est.slope, "r_squared": est.r_squared,
-            "min_box": min_box, "max_box": max_box,
-            "scales_used": list(est.scales_used), "counts": list(est.counts)}
+    try:
+        est = analysis.box_counting_dimension(mask, min_box, max_box)
+    except analysis.EmptyMaskError as exc:
+        return {"dimension": None, "dimension_reason": str(exc)}
+    return {"dimension": {"slope": est.slope, "r_squared": est.r_squared,
+                          "min_box": min_box, "max_box": max_box,
+                          "scales_used": list(est.scales_used), "counts": list(est.counts)}}
 
 
 # Single-image commands. The lambdas look the renderers up when called, so
@@ -54,63 +57,60 @@ _RENDERERS = {
 }
 
 
-def _run_image(cfg: SceneConfig) -> tuple[dict, dict, list | None]:
+def _run_image(cfg: SceneConfig, stats: dict):
     field = _RENDERERS[cfg.command](cfg)
-    stats = {"bounded_count": field.bounded_count()}
+    stats["bounded_count"] = field.bounded_count()
     if cfg.map is not None:
         stats["invalid_count"] = int(field.invalid_mask().sum())
-    return {".ppm": field}, stats, None
+    yield ".ppm", field, None
 
-def _run_discrete_traj(cfg: SceneConfig) -> tuple[dict, dict, list | None]:
-    pullback, pushforward = discrete_trajectory(cfg.c, cfg.map, cfg.k_max, cfg.grid,
-                                                cfg.iter_params, cfg.supersample)
-    frames, rows = {}, []
-    for k, (pull, push) in enumerate(zip(pullback, pushforward)):
-        frames[f"_k{k:03d}.ppm"], frames[f"_push_k{k:03d}.ppm"] = pull, push
-        rows.append({"k": k, "pullback": Path(f"{cfg.output}_k{k:03d}.ppm").name,
-                     "pushforward": Path(f"{cfg.output}_push_k{k:03d}.ppm").name,
-                     "bounded_count": pull.bounded_count()})
-    return frames, {}, rows
+def _run_discrete_traj(cfg: SceneConfig, stats: dict):
+    pairs = discrete_trajectory(cfg.c, cfg.map, cfg.k_max, cfg.grid,
+                                cfg.iter_params, cfg.supersample)
+    for k, (pull, push) in enumerate(pairs):
+        pull_suffix, push_suffix = f"_k{k:03d}.ppm", f"_push_k{k:03d}.ppm"
+        yield pull_suffix, pull, {"k": k, "pullback": Path(cfg.output + pull_suffix).name,
+                                  "pushforward": Path(cfg.output + push_suffix).name,
+                                  "bounded_count": pull.bounded_count()}
+        yield push_suffix, push, None
 
-def _run_flow_traj(cfg: SceneConfig) -> tuple[dict, dict, list | None]:
+def _run_flow_traj(cfg: SceneConfig, stats: dict):
     fields = trajectory_sweep(cfg.grid, cfg.c, cfg.flow, cfg.t_list, cfg.iter_params)
-    frames, rows = {}, []
     for idx, (field, t) in enumerate(zip(fields, cfg.t_list)):
-        frames[f"_{idx:03d}.ppm"] = field
-        rows.append({"file": Path(f"{cfg.output}_{idx:03d}.ppm").name, "t": t,
-                     "bounded_count": field.bounded_count()})
-    return frames, {}, rows
+        suffix = f"_{idx:03d}.ppm"
+        yield suffix, field, {"file": Path(cfg.output + suffix).name, "t": t,
+                              "bounded_count": field.bounded_count()}
 
-def _run_dimension(cfg: SceneConfig) -> tuple[dict, dict, list | None]:
+def _run_dimension(cfg: SceneConfig, stats: dict):
     field = render_julia(cfg.grid, cfg.c, cfg.iter_params)
     mask = extract_boundary(field) if cfg.boundary else field
-    stats = {"bounded_count": mask.bounded_count(), "dimension": _box_dimension(cfg, mask)}
-    return {".ppm": mask}, stats, None
+    stats.update(bounded_count=mask.bounded_count(), **_box_dimension(cfg, mask))
+    yield ".ppm", mask, None
 
-def _run_verify_fmt(cfg: SceneConfig) -> tuple[dict, dict, list | None]:
+def _run_verify_fmt(cfg: SceneConfig, stats: dict):
     src = render_julia(cfg.grid, cfg.c, cfg.iter_params)
     fwd = forward_image(src, cfg.map, cfg.dst_grid, cfg.supersample)
     fmi = fmi_julia(cfg.dst_grid, cfg.c, cfg.map, cfg.iter_params)
-    cmp = analysis.compare_masks(fwd, fmi)
-    stats = {"bounded_count_forward": fwd.bounded_count(),
-             "bounded_count_fmi": fmi.bounded_count(),
-             "comparison": {"jaccard": cmp.jaccard, "hausdorff_px": cmp.hausdorff_px}}
-    return {"_forward.ppm": fwd, "_fmi.ppm": fmi}, stats, None
+    stats.update(bounded_count_forward=fwd.bounded_count(), bounded_count_fmi=fmi.bounded_count())
+    try:
+        cmp = analysis.compare_masks(fwd, fmi)
+        stats["comparison"] = {"jaccard": cmp.jaccard, "hausdorff_px": cmp.hausdorff_px}
+    except analysis.MasksUndefinedError as exc:
+        stats.update(comparison=None, comparison_reason=str(exc))
+    yield "_forward.ppm", fwd, None
+    yield "_fmi.ppm", fmi, None
 
-def _run_zeno(cfg: SceneConfig) -> tuple[dict, dict, list | None]:
+def _run_zeno(cfg: SceneConfig, stats: dict):
     diagram = analysis.zeno_states(cfg.d0, cfg.t1, cfg.n, cfg.i0)
-    stats: dict = {"times": list(diagram.times), "heights": list(diagram.heights)}
-    if cfg.n < 2:
-        return {}, stats, None
-    field = analysis.rasterize_zeno(diagram, cfg.px_w, cfg.px_h)
-    stats["bounded_count"] = field.bounded_count()
-    stats["dimension"] = _box_dimension(cfg, field)
-    return {".ppm": field}, stats, None
+    stats.update(times=list(diagram.times), heights=list(diagram.heights))
+    if cfg.n >= 2:
+        field = analysis.rasterize_zeno(diagram, cfg.px_w, cfg.px_h)
+        stats.update(bounded_count=field.bounded_count(), **_box_dimension(cfg, field))
+        yield ".ppm", field, None
 
 
-# A runner writes nothing: it returns its frames keyed by output suffix, in
-# write order, its sidecar stats, and a multi-frame command's manifest rows
-# (None for the others). run_scene writes them all.
+# A runner writes nothing: it fills the sidecar stats it is given and yields
+# (output suffix, field, manifest row or None) one frame at a time, in write order.
 _RUNNERS = {
     **{command: _run_image for command in _RENDERERS},
     "discrete-traj": _run_discrete_traj,
@@ -122,15 +122,16 @@ _RUNNERS = {
 
 
 def run_scene(cfg: SceneConfig, threads: int = 1) -> dict:
-    """Execute a validated scene and write its frames, manifest and sidecar;
-    returns the stats written to the sidecar; threads is deprecated and ignored."""
+    """Execute a validated scene, writing each frame as its runner yields it, then
+    the manifest and sidecar; returns the sidecar's stats; threads is deprecated and ignored."""
     _ignore_threads(threads)
     t0 = time.perf_counter()
-    frames, stats, rows = _RUNNERS[cfg.command](cfg)
-    palette = get_palette(cfg.palette)
-    for suffix, field in frames.items():
+    palette, stats, rows = get_palette(cfg.palette), {}, []
+    for suffix, field, row in _RUNNERS[cfg.command](cfg, stats):
         write_image(field, palette, _out_path(cfg, suffix))
-    if rows is not None:
+        if row is not None:
+            rows.append(row)
+    if rows:
         with open(_out_path(cfg, "_manifest.json"), "w", encoding="utf-8") as fh:
             json.dump({"frames": rows}, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -25,6 +25,7 @@ hold a tile. Each kind states g once, on real and imaginary parts
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,7 +236,7 @@ def fmi_flow_julia(grid: GridSpec, c: complex, flow: FlowSpec, t: float,
 
 
 def trajectory_sweep(grid: GridSpec, c: complex, flow: FlowSpec, t_values,
-                     params: IterParams = IterParams()) -> list[RasterField]:
-    """Flow-image rasters at each time in t_values, in order. A non-finite
-    time raises ValueError when its frame is reached."""
-    return [fmi_flow_julia(grid, c, flow, float(t), params) for t in t_values]
+                     params: IterParams = IterParams()) -> Iterator[RasterField]:
+    """Flow-image rasters at each time in t_values, in order, drawn one at a
+    time; a non-finite time raises ValueError when its frame is reached."""
+    return (fmi_flow_julia(grid, c, flow, float(t), params) for t in t_values)

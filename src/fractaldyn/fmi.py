@@ -19,12 +19,13 @@ only mark pixels that are marked already or lie outside the window. When
 f stretches distances by at most l2, supersampling at source pitch / s
 keeps the splat spacing below the destination pitch whenever
 l2 * src_pitch / s <= dst_pitch. discrete_trajectory runs both routes k
-times over and returns their frames as two lists.
+times over and yields their frames a pair at a time.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -189,28 +190,30 @@ def forward_image(src_field: RasterField, m: MapSpec, dst_grid: GridSpec,
 
 def discrete_trajectory(c: complex, m: MapSpec, k_max: int, grid: GridSpec,
                         params: IterParams = IterParams(),
-                        supersample: int = 3) -> tuple[list[RasterField], list[RasterField]]:
+                        supersample: int = 3) -> Iterator[tuple[RasterField, RasterField]]:
     """Iterate a Julia set under a map: frame k is the k-fold image, by both
-    construction routes. Returns the lists (pullback, pushforward), each of
-    k_max + 1 frames; element 0 of both is the plain Julia render.
+    construction routes. Yields k_max + 1 pairs (pullback, pushforward) one
+    at a time; pair 0 is the plain Julia render twice. A bad k_max or c
+    raises ValueError at the call.
 
     Pullback frames apply eval_inverse k times (principal branches at each
     step) before orbit classification; pixels whose pullback chain leaves
     the map's domain are Invalid. Pushforward frames re-splat the previous
-    frame through forward_image as an independent cross-check.
+    frame through forward_image as an independent cross-check. Only the last
+    pair and the pulled-back centers are kept from one pair to the next.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    c = require_finite(c, "c")
+    return _trajectory(require_finite(c, "c"), m, k_max, grid, params, supersample)
 
-    frame0 = render_julia(grid, c, params)
-    pullback = [frame0]
-    pushforward = [frame0]
 
+def _trajectory(c, m, k_max, grid, params, supersample):
+    pull = push = render_julia(grid, c, params)
     w = grid.points()
     for _ in range(k_max):
+        yield pull, push
         w = eval_inverse(m, w)
-        status, iters, mags = classify_grid(w, c, params)
-        pullback.append(RasterField(grid, status, iters, mags))
-        pushforward.append(forward_image(pushforward[-1], m, grid, supersample))
-    return pullback, pushforward
+        pull = RasterField(grid, *classify_grid(w, c, params))
+        push = forward_image(push, m, grid, supersample)
+    del w  # the last pair is written without the centers
+    yield pull, push

@@ -216,7 +216,7 @@ def test_c08_discrete_trajectory(tmp_path):
     grid = GridSpec(0j, 3.4, 3.4, 512, 512)
     base = fd.render_julia(grid, c, params)
 
-    pullback0, _ = fd.discrete_trajectory(c, fd.Affine(0.5, 0), 0, grid, params)
+    pullback0, _ = zip(*fd.discrete_trajectory(c, fd.Affine(0.5, 0), 0, grid, params))
     assert len(pullback0) == 1
     assert fields_equal(pullback0[0], base)
 
@@ -225,9 +225,9 @@ def test_c08_discrete_trajectory(tmp_path):
     # z -> 0.5^k z: halving composes exactly in floating point)
     js = []
     for k in range(1, 6):
-        pullback, _ = fd.discrete_trajectory(c, fd.Affine(0.5, 0), k,
-                                             grid.affine_image(0.5 ** k, 0), params,
-                                             supersample=1)
+        pullback, _ = zip(*fd.discrete_trajectory(c, fd.Affine(0.5, 0), k,
+                                                  grid.affine_image(0.5 ** k, 0), params,
+                                                  supersample=1))
         composed = fd.fmi_julia(grid.affine_image(0.5 ** k, 0), c, fd.Affine(0.5 ** k, 0),
                                 params)
         assert fields_equal(pullback[k], composed)

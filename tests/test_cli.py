@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -367,9 +368,15 @@ def test_one_doc_per_command_covers_every_runner():
 def test_runners_write_nothing_and_run_scene_writes_every_output(tmp_path, monkeypatch, doc):
     monkeypatch.chdir(tmp_path)
     cfg = validate_config({**doc, "output": "out/s"})
-    frames, _, rows = cli._RUNNERS[cfg.command](cfg)
-    assert list(tmp_path.iterdir()) == []
-    assert (rows is not None) == (cfg.command in ("discrete-traj", "flow-traj"))
+    calls = []
+    with monkeypatch.context() as patch:
+        for writer in ("write_image", "write_metadata"):
+            patch.setattr(cli, writer, lambda *args, name=writer: calls.append(name))
+        yielded = list(cli._RUNNERS[cfg.command](cfg, {}))
+    assert calls == [] and list(tmp_path.iterdir()) == []
+    suffixes = [suffix for suffix, _, _ in yielded]
+    rows = [row for _, _, row in yielded if row is not None]
+    assert bool(rows) == (cfg.command in ("discrete-traj", "flow-traj"))
 
     written = []
     write_image = cli.write_image
@@ -380,15 +387,65 @@ def test_runners_write_nothing_and_run_scene_writes_every_output(tmp_path, monke
 
     monkeypatch.setattr(cli, "write_image", record)
     stats = cli.run_scene(cfg)
-    assert written == [f"s{suffix}" for suffix in frames]
-    expected = {f"s{suffix}" for suffix in frames} | {"s.json"}
-    if rows is not None:
+    assert written == [f"s{suffix}" for suffix in suffixes]
+    expected = {f"s{suffix}" for suffix in suffixes} | {"s.json"}
+    if rows:
         expected.add("s_manifest.json")
         manifest = json.loads((tmp_path / "out/s_manifest.json").read_text())
         assert manifest["frames"] == rows
         assert stats["frames"] == len(rows)
     assert {p.name for p in tmp_path.rglob("*") if p.is_file()} == expected
     assert {p.parent for p in tmp_path.rglob("*") if p.is_file()} == {tmp_path / "out"}
+
+
+def _run_scene_peak(doc, frames, tmp_path):
+    """tracemalloc peak of run_scene on a 128 x 128 multi-frame doc cut to
+    the given frame count."""
+    grid = {"center": [0, 0], "width": 3.2, "height": 3.2, "px_w": 128, "px_h": 128}
+    if doc["command"] == "flow-traj":
+        doc = {**doc, "t_list": [0.05 * i for i in range(frames)]}
+    else:
+        doc = {**doc, "k_max": frames - 1}
+    cfg = validate_config({**doc, "grid": grid, "c": [-1, 0], "iter": {"max_iter": 50},
+                           "output": str(tmp_path / f"f{frames}" / "s")})
+    tracemalloc.start()
+    try:
+        stats = cli.run_scene(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats["frames"] == frames
+    return peak
+
+
+# A quarter turn keeps every frame's content alike, so the kernel's own
+# working memory, which grows for frames that escape sooner, stays put.
+@pytest.mark.parametrize("doc", [
+    {"command": "flow-traj", "flow": {"kind": "linear", "lambda": [-1, 0]}},
+    {"command": "discrete-traj", "map": {"kind": "affine", "a": [0, 1]}},
+], ids=["flow-traj", "discrete-traj"])
+def test_multi_frame_memory_does_not_grow_with_the_frame_count(tmp_path, doc):
+    # one frame's fields are 13 bytes per pixel (status, escape index,
+    # magnitude); each added frame also adds a manifest row of under 1 KB
+    bound = _run_scene_peak(doc, 2, tmp_path) + 13 * 128 ** 2 + 1024 * 14
+    assert _run_scene_peak(doc, 16, tmp_path) <= bound
+
+
+@pytest.mark.parametrize("doc, metric, reason, frames", [
+    # c = 1 lies outside the Mandelbrot set: every cell escapes
+    ({"command": "dimension", "grid": {**grid16(), "px_w": 64, "px_h": 64}, "c": [1, 0]},
+     "dimension", "mask has no Bounded cells", [".ppm"]),
+    ({"command": "verify-fmt", "grid": {**grid16(), "center": [5, 5], "width": 1, "height": 1},
+      "c": [-1, 0], "map": {"kind": "identity"}},
+     "comparison", "both masks are empty", ["_forward.ppm", "_fmi.ppm"]),
+], ids=["dimension", "verify-fmt"])
+def test_an_empty_mask_gives_a_null_metric_and_exit_0(tmp_path, doc, metric, reason, frames):
+    out = tmp_path / "out/e"
+    assert main(["run", "--config", str(write_config(tmp_path, {**doc, "output": str(out)}))]) == 0
+    for suffix in frames:
+        read_ppm(f"{out}{suffix}")
+    stats = json.loads((tmp_path / "out/e.json").read_text())["stats"]
+    assert stats[metric] is None and stats[f"{metric}_reason"] == reason
 
 
 @pytest.mark.parametrize("doc,frame,all_invalid", [

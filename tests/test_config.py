@@ -1,13 +1,14 @@
 import importlib.util
 import json
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractaldyn.cli import main
+from fractaldyn.cli import main, run_scene
 from fractaldyn.core import GridSpec
 from fractaldyn.config import (COMMANDS, MAX_FRAMES, MAX_SUPERSAMPLE, PALETTE_NAMES,
                                ConfigError, SceneConfig, apply_overrides, parse_config,
@@ -485,6 +486,45 @@ def test_serialize_round_trip_property(name, data):
     text = serialize_config(cfg)
     assert parse_config(text) == cfg
     assert serialize_config(parse_config(text)) == text
+
+
+def _cut_to_size(doc: dict) -> dict:
+    """doc with its work cut to milliseconds: rasters at most 24 x 24 (48 x
+    48 where box counting runs, with the default box range, which needs
+    32), max_iter at most 60, k_max at most 3, at most 3 times, supersample
+    at most 4 and at most 30 zeno lines. What is left may still fail to
+    validate."""
+    side = 48 if doc["command"] in ("dimension", "zeno") else 24
+    doc = {key: value for key, value in doc.items() if key not in ("min_box", "max_box")}
+    for key in ("grid", "dst_grid"):
+        if key in doc:
+            doc[key] = {**doc[key], "px_w": min(doc[key]["px_w"], side),
+                        "px_h": min(doc[key]["px_h"], side)}
+    if doc["command"] == "zeno":
+        doc.update(n=min(doc["n"], 30), px_w=min(doc.get("px_w", side), side),
+                   px_h=min(doc.get("px_h", side), side))
+    else:
+        doc["iter"] = {**doc.get("iter", {}),
+                       "max_iter": min(doc.get("iter", {}).get("max_iter", 60), 60)}
+    for key, most in (("k_max", 3), ("supersample", 4)):
+        if key in doc:
+            doc[key] = min(doc[key], most)
+    if "t_list" in doc:
+        doc["t_list"] = doc["t_list"][:3]
+    return doc
+
+
+@pytest.mark.parametrize("name", list(SCENE_DOCS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_a_config_that_validates_runs_to_completion(name, data):
+    doc = _cut_to_size(data.draw(SCENE_DOCS[name]))
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            cfg = validate_config({**doc, "output": f"{out}/s"})
+        except ConfigError:
+            return
+        run_scene(cfg)
 
 
 # Override values: any JSON (NaN and the infinities included), ints of over

@@ -177,8 +177,8 @@ def test_expansion_flow_rescales_mask(basilica_512):
 
 
 def test_trajectory_sweep_single_zero_time(basilica_512):
-    frames = trajectory_sweep(basilica_512.grid, -1 + 0j, LimitCycle(), [0.0],
-                              IterParams(400, 2.0))
+    frames = list(trajectory_sweep(basilica_512.grid, -1 + 0j, LimitCycle(), [0.0],
+                                   IterParams(400, 2.0)))
     assert len(frames) == 1
     assert np.array_equal(frames[0].status, basilica_512.status)
 
@@ -186,7 +186,7 @@ def test_trajectory_sweep_single_zero_time(basilica_512):
 def test_trajectory_sweep_rejects_nonfinite_t():
     grid = GridSpec(0j, 2.0, 2.0, 8, 8)
     with pytest.raises(ValueError):
-        trajectory_sweep(grid, 0j, Linear(-1), [0.0, math.inf])
+        list(trajectory_sweep(grid, 0j, Linear(-1), [0.0, math.inf]))
 
 
 def test_flow_inverse_marks_blowup_pixels_invalid():

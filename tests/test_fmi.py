@@ -501,8 +501,8 @@ def test_fmt_equality_affine_on_aligned_image_grid(basilica_512):
 
 
 def test_discrete_trajectory_k0_is_render(basilica_512):
-    pullback, pushforward = discrete_trajectory(-1 + 0j, Affine(0.5, 0), 0,
-                                                basilica_512.grid, P)
+    pullback, pushforward = zip(*discrete_trajectory(-1 + 0j, Affine(0.5, 0), 0,
+                                                     basilica_512.grid, P))
     assert len(pullback) == 1 and len(pushforward) == 1
     assert fields_equal(pullback[0], basilica_512)
 
@@ -512,10 +512,16 @@ def test_discrete_trajectory_rejects_negative_k():
         discrete_trajectory(0j, Identity(), -1, GridSpec(0j, 2, 2, 8, 8), P)
 
 
+def test_discrete_trajectory_rejects_nonfinite_c_at_the_call():
+    # raised by the call itself, before any pair is drawn
+    with pytest.raises(ValueError):
+        discrete_trajectory(complex(math.nan, 0), Identity(), 2, GridSpec(0j, 2, 2, 8, 8), P)
+
+
 def test_semigroup_pullback_equals_iterated_map(basilica_512):
     # halving map composes exactly in floating point to z -> 0.5^k z, so
     # frames match bitwise
-    pullback, _ = discrete_trajectory(-1 + 0j, Affine(0.5, 0), 4, basilica_512.grid, P)
+    pullback, _ = zip(*discrete_trajectory(-1 + 0j, Affine(0.5, 0), 4, basilica_512.grid, P))
     for k in (1, 2, 4):
         assert fields_equal(pullback[k],
                             fmi_julia(basilica_512.grid, -1 + 0j, Affine(0.5 ** k, 0), P))
@@ -527,8 +533,8 @@ def test_trajectory_self_similarity_after_rescaling():
     base = render_julia(grid, -1 + 0j, P)
     m = Affine(0.5, 0)
     for k in (1, 3, 5):
-        pullback, _ = discrete_trajectory(-1 + 0j, m, k, grid.affine_image(0.5 ** k, 0), P,
-                                          supersample=1)
+        pullback, _ = zip(*discrete_trajectory(-1 + 0j, m, k, grid.affine_image(0.5 ** k, 0), P,
+                                               supersample=1))
         cmp = compare_masks(pullback[k], base)
         assert cmp.jaccard >= 0.9
 
@@ -537,8 +543,8 @@ def test_pullback_pushforward_agree_for_lattice_isometry():
     # a quarter turn maps the pixel lattice to itself: both routes agree
     # exactly at every k, because no resampling dilation accumulates
     grid = GridSpec(0j, 4.2, 4.2, 256, 256)
-    pullback, pushforward = discrete_trajectory(-1 + 0j, Affine(1j, 0), 5, grid, P,
-                                                supersample=3)
+    pullback, pushforward = zip(*discrete_trajectory(-1 + 0j, Affine(1j, 0), 5, grid, P,
+                                                     supersample=3))
     for k in range(6):
         cmp = compare_masks(pullback[k], pushforward[k])
         assert cmp.jaccard >= 0.95
@@ -548,8 +554,8 @@ def test_quadratic_trajectory_runs_and_reports_both_routes():
     c = -0.175 - 0.655j
     m = QuadraticParam(0.6, 0.02 - 0.02j, c)
     grid = GridSpec(0j, 3.2, 3.2, 128, 128)
-    pullback, pushforward = discrete_trajectory(c, m, 5, grid, IterParams(150, 2.0),
-                                                supersample=3)
+    pullback, pushforward = zip(*discrete_trajectory(c, m, 5, grid, IterParams(150, 2.0),
+                                                     supersample=3))
     assert len(pullback) == 6 and len(pushforward) == 6
     # the pushforward route keeps content even where the principal-branch
     # pullback chain loses the set
